@@ -30,6 +30,60 @@ type coalesce_mode =
 
 let cls_of_web (webs : Webs.t) w = (Webs.web webs w).cls
 
+(* ---- the move table ----
+
+   Every copy of the procedure, resolved to its webs once per build: the
+   m-th move in program order sits at instruction [mv_instr.(m)] and
+   copies web [mv_use.(m)] into web [mv_def.(m)] (identity aliasing);
+   [move_at.(i)] is the move index of instruction [i], or -1. Coalescing
+   rounds, the interference query and the move staging all read these
+   arrays instead of re-resolving every copy through [Webs.def_web] /
+   [Webs.use_web] each round. *)
+
+type moves = {
+  mv_instr : int array;
+  mv_def : int array;
+  mv_use : int array;
+  move_at : int array;
+}
+
+let move_table (proc : Proc.t) (webs : Webs.t) =
+  let move_at = Array.make (Array.length proc.code) (-1) in
+  let rev = ref [] and n = ref 0 in
+  Array.iteri
+    (fun i (node : Proc.node) ->
+      match Instr.move_of node.ins with
+      | None -> ()
+      | Some (dreg, sreg) ->
+        move_at.(i) <- !n;
+        rev := (i, Webs.def_web webs i dreg, Webs.use_web webs i sreg) :: !rev;
+        incr n)
+    proc.code;
+  let all = Array.of_list (List.rev !rev) in
+  { mv_instr = Array.map (fun (i, _, _) -> i) all;
+    mv_def = Array.map (fun (_, d, _) -> d) all;
+    mv_use = Array.map (fun (_, _, s) -> s) all;
+    move_at }
+
+(* A move is a coalescing candidate when its two representatives differ
+   and neither is a spill temporary (spill code stays intact). *)
+let candidate (webs : Webs.t) a b =
+  a <> b
+  && (not (Webs.web webs a).Webs.spill_temp)
+  && not (Webs.web webs b).Webs.spill_temp
+
+(* The definitions instruction [i] interferes from, under the aliasing
+   snapshot [rep] (with [numbering] its rep-mapped numbering): a copy
+   defines its destination and excludes its source — the move-source
+   exclusion — and any other instruction defines [numbering.defs_of i],
+   excluding nothing ([-1]). The edge scan and the interference query
+   both emit through this, so they cannot disagree on the rule. *)
+let iter_defs (moves : moves) ~(rep : int array)
+    ~(numbering : Liveness.numbering) i ~f =
+  let m = moves.move_at.(i) in
+  if m >= 0 then f rep.(moves.mv_def.(m)) ~excluding:rep.(moves.mv_use.(m))
+  else List.iter (fun d -> f d ~excluding:(-1)) (numbering.Liveness.defs_of i)
+
 (* ---- encoded scan events ----
 
    The per-block scan hands every interference to its emitter as a pair
@@ -319,10 +373,10 @@ end
 
 (* Test hook for the race detector: when set, every parallel cached
    rescan task additionally invalidates the first block of the *next*
-   chunk — plain boolean stores, memory-safe and output-preserving (an
-   invalidated entry keeps its just-scanned layer and is merely
-   rescanned next round), but a logically concurrent write into a
-   sibling task's declared slot range. The detector must report it both
+   chunk — plain boolean stores, memory-safe, but a logically concurrent
+   write into a sibling task's declared slot range. Not output-preserving:
+   an entry invalidated after its rescan replays its stale base layer in
+   a later round, so verification must be off when the hook is on. The detector must report it both
    as a write/write race and as a footprint violation, under any
    schedule. *)
 let seeded_cache_race = ref false
@@ -374,7 +428,8 @@ let chunk_starts (cfg : Cfg.t) ~n_chunks =
    snapshot of the alias representatives ([rep.(w) = Union_find.find w]),
    precomputed so the scan never touches the path-compressing union-find;
    [numbering] maps instructions to representatives through it; [live] is
-   the liveness solution under that numbering.
+   the liveness solution under that numbering; [moves] is the build's
+   move table, which supplies each copy's webs for the source exclusion.
 
    With a pool of width > 1 the per-block scan is sharded: each worker
    stages its chunk's edges privately (first occurrence per chunk, in
@@ -400,8 +455,8 @@ let chunk_starts (cfg : Cfg.t) ~n_chunks =
    insertion order, match the from-scratch scan exactly; [RA_VERIFY]
    cross-checks this every round. *)
 let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
-    ~(rep : int array) ~numbering ~(live : Liveness.t) ~scratch ~pool ~par
-    ~cache ~tele =
+    ~(moves : moves) ~(rep : int array) ~numbering ~(live : Liveness.t)
+    ~scratch ~pool ~par ~cache ~tele =
   let n_webs = Webs.n_webs webs in
   (* dense node numbering per class, representatives only *)
   let node_of_web = Array.make (max n_webs 1) (-1) in
@@ -447,12 +502,12 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
      [live_scratch], when given, carries the walk's live set (workers
      each pass their own). *)
   let scan_blocks ~emit ~live_scratch lo hi =
-    let add_def_edges def_rep ~excluding ~live_after =
+    let add_def_edges ~live_after def_rep ~excluding =
       let cls = cls_of_web webs def_rep in
       Bitset.iter
         (fun l ->
-          if l <> def_rep && Some l <> excluding && cls_of_web webs l = cls
-          then emit cls def_rep l)
+          if l <> def_rep && l <> excluding && cls_of_web webs l = cls then
+            emit cls def_rep l)
         live_after
     in
     let add_clobber_edges ~ret_rep ~live_after =
@@ -471,15 +526,7 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
       Liveness.iter_block_backward ?scratch:live_scratch live b
         ~f:(fun i ~live_after ->
           let node = proc.code.(i) in
-          (match Instr.move_of node.ins with
-           | Some (dreg, sreg) ->
-             let d = rep.(Webs.def_web webs i dreg) in
-             let s = rep.(Webs.use_web webs i sreg) in
-             add_def_edges d ~excluding:(Some s) ~live_after
-           | None ->
-             List.iter
-               (fun d -> add_def_edges d ~excluding:None ~live_after)
-               (numbering.Liveness.defs_of i));
+          iter_defs moves ~rep ~numbering i ~f:(add_def_edges ~live_after);
           match node.ins with
           | Instr.Call { ret; _ } ->
             let ret_rep =
@@ -723,14 +770,24 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
    graph after every merge round, each round's test sees exact degrees
    and exact (copy-shrunk) interference, which is what lets the
    build-time pass coalesce pairs the static in-Simplify tests must
-   refuse. *)
-let briggs_safe (g : Igraph.t) ~k nd ns =
+   refuse.
+
+   [seen] is the build's stamped scratch: node [t] counts as seen in this
+   call iff [seen.marks.(t) = seen.stamp], so each call starts from an
+   empty set by bumping the stamp, with no allocation. *)
+type seen = { mutable marks : int array; mutable stamp : int }
+
+let briggs_safe seen (g : Igraph.t) ~k nd ns =
+  let n = Igraph.n_nodes g in
+  (* fresh zeros never equal a stamp, which is >= 1 once bumped *)
+  if Array.length seen.marks < n then seen.marks <- Array.make n 0;
+  seen.stamp <- seen.stamp + 1;
+  let marks = seen.marks and stamp = seen.stamp in
   let np = Igraph.n_precolored g in
-  let seen = Hashtbl.create 16 in
   let significant = ref 0 in
   let count other t =
-    if not (Hashtbl.mem seen t) then begin
-      Hashtbl.add seen t ();
+    if marks.(t) <> stamp then begin
+      marks.(t) <- stamp;
       if t < np then incr significant
       else begin
         let d = Igraph.degree g t in
@@ -743,54 +800,134 @@ let briggs_safe (g : Igraph.t) ~k nd ns =
   (* a second-list neighbor already seen was shared and discounted
      above; an unseen one cannot be adjacent to [nd] *)
   Igraph.iter_neighbors g ns ~f:(fun t ->
-    if not (Hashtbl.mem seen t) then begin
-      Hashtbl.add seen t ();
+    if marks.(t) <> stamp then begin
+      marks.(t) <- stamp;
       if t < np || Igraph.degree g t >= k then incr significant
     end);
   !significant < k
 
-let find_coalescable machine (proc : Proc.t) (webs : Webs.t) alias
-    node_of_web (int_graph : Igraph.t) (flt_graph : Igraph.t) ~conservative
+(* One coalescing scan over the moves in program order. [mergeable m wd
+   ws] decides move [m], whose representatives [wd]/[ws] are candidates,
+   against the aliasing the round entered with. *)
+let find_coalescable (webs : Webs.t) alias (moves : moves) ~mergeable
     ~touched =
   let find = Union_find.find alias in
   let merged = ref 0 in
-  (* The graph describes the aliasing we entered the scan with, so within
-     one scan each representative may take part in at most one merge;
-     moves touching an already-merged class wait for the next rebuild. *)
+  (* The round's interference answers describe the aliasing we entered
+     the scan with, so within one scan each representative may take part
+     in at most one merge; moves touching an already-merged class wait
+     for the next round. An untouched class therefore still has its
+     round-start representative, which is what [mergeable] was told. *)
   Bitset.reset touched (max (Webs.n_webs webs) 1);
-  Array.iteri
-    (fun i (node : Proc.node) ->
-      match Instr.move_of node.ins with
-      | None -> ()
-      | Some (dreg, sreg) ->
-        let wd = find (Webs.def_web webs i dreg) in
-        let ws = find (Webs.use_web webs i sreg) in
-        if wd <> ws && (not (Bitset.mem touched wd))
-           && not (Bitset.mem touched ws)
-        then begin
-          let spill_temp w = (Webs.web webs w).Webs.spill_temp in
-          if (not (spill_temp wd)) && not (spill_temp ws) then begin
-            let cls = cls_of_web webs wd in
-            let g =
-              match cls with
-              | Reg.Int_reg -> int_graph
-              | Reg.Flt_reg -> flt_graph
-            in
-            let nd = node_of_web.(wd) and ns = node_of_web.(ws) in
-            if
-              (not (Igraph.interferes g nd ns))
-              && ((not conservative)
-                  || briggs_safe g ~k:(Machine.regs machine cls) nd ns)
-            then begin
-              ignore (Union_find.union alias wd ws);
-              Bitset.add touched wd;
-              Bitset.add touched ws;
-              incr merged
-            end
-          end
-        end)
-    proc.code;
+  for m = 0 to Array.length moves.mv_def - 1 do
+    let wd = find moves.mv_def.(m) in
+    let ws = find moves.mv_use.(m) in
+    if
+      (not (Bitset.mem touched wd))
+      && (not (Bitset.mem touched ws))
+      && candidate webs wd ws && mergeable m wd ws
+    then begin
+      ignore (Union_find.union alias wd ws);
+      Bitset.add touched wd;
+      Bitset.add touched ws;
+      incr merged
+    end
+  done;
   !merged
+
+(* Test hook for the query cross-check: when set, every query round
+   flips the answer of its first candidate move, so a verified
+   [Aggressive] build must raise [Divergence]. *)
+let seeded_query_flip = ref false
+
+(* The interference question an [Aggressive] round asks, answered without
+   building a graph. For every candidate move [m] (under the snapshot
+   [rep]), [answer.(m)] is set exactly when [build_graphs], run on the
+   same [rep] and [live], would make the move's two representatives
+   adjacent. A web-web edge has only two origins there:
+
+   - a definition of one endpoint with the other live after it, except
+     when the definition is a copy whose (representative) source is the
+     other endpoint — the move-source exclusion;
+   - both endpoints live into the entry block.
+
+   (Call clobbers only ever pair a physical register with a web.) So the
+   query walks backward only the blocks holding a def site of a
+   candidate class, and at each definition of one tests the partners of
+   its candidate moves against the live-after set — the same live sets,
+   definitions and exclusions [scan_blocks] emits from, restricted to
+   the candidate pairs. Non-candidate entries stay [false]. *)
+let query_interference (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
+    ~(rep : int array) ~numbering ~(live : Liveness.t) =
+  let n_moves = Array.length moves.mv_def in
+  let n_webs = Webs.n_webs webs in
+  let answer = Array.make n_moves false in
+  (* each candidate class's partners, as a CSR: the slots
+     [start.(w) .. start.(w + 1) - 1] hold (partner, move) pairs *)
+  let start = Array.make (n_webs + 1) 0 in
+  let n_cand = ref 0 in
+  for m = 0 to n_moves - 1 do
+    let a = rep.(moves.mv_def.(m)) and b = rep.(moves.mv_use.(m)) in
+    if candidate webs a b then begin
+      start.(a + 1) <- start.(a + 1) + 1;
+      start.(b + 1) <- start.(b + 1) + 1;
+      incr n_cand
+    end
+  done;
+  if !n_cand > 0 then begin
+    for w = 0 to n_webs - 1 do
+      start.(w + 1) <- start.(w + 1) + start.(w)
+    done;
+    let fill = Array.sub start 0 n_webs in
+    let partner = Array.make (2 * !n_cand) 0 in
+    let via = Array.make (2 * !n_cand) 0 in
+    let push a b m =
+      partner.(fill.(a)) <- b;
+      via.(fill.(a)) <- m;
+      fill.(a) <- fill.(a) + 1
+    in
+    let entry_in = Liveness.block_live_in live 0 in
+    for m = 0 to n_moves - 1 do
+      let a = rep.(moves.mv_def.(m)) and b = rep.(moves.mv_use.(m)) in
+      if candidate webs a b then begin
+        push a b m;
+        push b a m;
+        if Bitset.mem entry_in a && Bitset.mem entry_in b then
+          answer.(m) <- true
+      end
+    done;
+    let has_partners w = start.(w + 1) > start.(w) in
+    let walk = Array.make (Cfg.n_blocks cfg) false in
+    for w = 0 to n_webs - 1 do
+      if has_partners rep.(w) then
+        List.iter
+          (fun i -> walk.(cfg.Cfg.block_of_instr.(i)) <- true)
+          (Webs.web webs w).Webs.def_sites
+    done;
+    let test_def ~live_after d ~excluding =
+      for j = start.(d) to start.(d + 1) - 1 do
+        let p = partner.(j) in
+        if p <> excluding && Bitset.mem live_after p then
+          answer.(via.(j)) <- true
+      done
+    in
+    Array.iteri
+      (fun b go ->
+        if go then
+          Liveness.iter_block_backward live b ~f:(fun i ~live_after ->
+            iter_defs moves ~rep ~numbering i ~f:(test_def ~live_after)))
+      walk;
+    if !seeded_query_flip then begin
+      let m = ref 0 in
+      while
+        not (candidate webs rep.(moves.mv_def.(!m)) rep.(moves.mv_use.(!m)))
+      do
+        incr m
+      done;
+      answer.(!m) <- not answer.(!m)
+    end
+  end;
+  answer
 
 let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
     ?live0 ?scratch ?pool ?par ?touched ?cache ?(verify = false)
@@ -822,17 +959,22 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
   let touched =
     match touched with Some b -> b | None -> Bitset.create 0
   in
+  (* the cache replays a block against the graph of the previous round,
+     and an [Aggressive] round builds none *)
+  if mode = Aggressive && cache <> None then
+    invalid_arg "Build.build: an Aggressive build takes no edge cache";
   (match cache with Some ec -> Edge_cache.reset_stats ec | None -> ());
+  let moves = move_table proc webs in
+  let stamps = { marks = [||]; stamp = 0 } in
+  let rep_ids rep = function
+    | [] -> []
+    | [ w ] -> [ rep.(w) ]
+    | ws -> List.sort_uniq Int.compare (List.map (fun w -> rep.(w)) ws)
+  in
   let rep_numbering rep =
     { Liveness.universe = n_webs;
-      defs_of =
-        (fun i ->
-          List.sort_uniq Int.compare
-            (List.map (fun w -> rep.(w)) (base.Liveness.defs_of i)));
-      uses_of =
-        (fun i ->
-          List.sort_uniq Int.compare
-            (List.map (fun w -> rep.(w)) (base.Liveness.uses_of i))) }
+      defs_of = (fun i -> rep_ids rep (base.Liveness.defs_of i));
+      uses_of = (fun i -> rep_ids rep (base.Liveness.uses_of i)) }
   in
   (* Blocks whose rep-mapped def/use lists changed since the previous
      round: exactly the blocks containing a def or use site of a web
@@ -925,6 +1067,30 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
         div "%s: adjacency of node %d diverges" name n
     done
   in
+  let reference_graphs ~rep ~numbering ~live =
+    build_graphs machine proc cfg webs ~moves ~rep ~numbering ~live
+      ~scratch:None ~pool:None ~par:None ~cache:None ~tele:Telemetry.null
+  in
+  (* every candidate's query answer against the reference graph's edge *)
+  let check_query ~rep ~numbering ~live answer =
+    let ig, fg, now, _, _ = reference_graphs ~rep ~numbering ~live in
+    Array.iteri
+      (fun m got ->
+        let a = rep.(moves.mv_def.(m)) and b = rep.(moves.mv_use.(m)) in
+        if candidate webs a b then begin
+          let g =
+            match cls_of_web webs a with
+            | Reg.Int_reg -> ig
+            | Reg.Flt_reg -> fg
+          in
+          let want = Igraph.interferes g now.(a) now.(b) in
+          if got <> want then
+            div "%s: interference query for the move at instruction %d \
+                 answers %b, the reference graph %b"
+              proc.name moves.mv_instr.(m) got want
+        end)
+      answer
+  in
   let parallel =
     match pool with Some p -> Pool.jobs p > 1 | None -> false
   in
@@ -953,44 +1119,75 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
         refreshed, cache_dirty
       end
     in
-    let round_cache =
-      match cache with
-      | None -> None
-      | Some ec -> Some (ec, if first then Round0 else Later cache_dirty)
+    (* this round's graphs, cross-checked under [verify] when they came
+       from the pool or the cache *)
+    let graphs () =
+      let round_cache =
+        match cache with
+        | None -> None
+        | Some ec -> Some (ec, if first then Round0 else Later cache_dirty)
+      in
+      let ((ig, fg, _, _, _) as built) =
+        build_graphs machine proc cfg webs ~moves ~rep ~numbering ~live
+          ~scratch ~pool ~par ~cache:round_cache ~tele
+      in
+      if verify && (parallel || cache <> None) then
+        Telemetry.span tele Phase.Verify (fun () ->
+          (* reference scan into fresh graphs, sequentially and uncached;
+             the parallel/cache-backed result must be indistinguishable
+             from it, down to adjacency order. The reference scan reports
+             nowhere — its spans would pollute the Scan totals. *)
+          let ig_s, fg_s, _, _, _ =
+            reference_graphs ~rep ~numbering ~live
+          in
+          check_same_graph (proc.name ^ ": int graph") ig ig_s;
+          check_same_graph (proc.name ^ ": flt graph") fg fg_s);
+      built
     in
-    let ig, fg, now, wni, wnf =
-      build_graphs machine proc cfg webs ~rep ~numbering ~live ~scratch ~pool
-        ~par ~cache:round_cache ~tele
+    let finish (ig, fg, now, wni, wnf) = ig, fg, now, wni, wnf, total, rounds in
+    let next merged =
+      fixpoint (total + merged) ~first:false ~rounds:(rounds + 1)
+        ~prev_rep:rep ~prev_live:live
     in
-    if verify && (parallel || cache <> None) then
-      Telemetry.span tele Phase.Verify (fun () ->
-        (* reference scan into fresh graphs, sequentially and uncached;
-           the parallel/cache-backed result must be indistinguishable
-           from it, down to adjacency order. The reference scan reports
-           nowhere — its spans would pollute the Scan totals. *)
-        let ig_s, fg_s, _, _, _ =
-          build_graphs machine proc cfg webs ~rep ~numbering ~live
-            ~scratch:None ~pool:None ~par:None ~cache:None
-            ~tele:Telemetry.null
-        in
-        check_same_graph (proc.name ^ ": int graph") ig ig_s;
-        check_same_graph (proc.name ^ ": flt graph") fg fg_s);
-    if mode = Off then ig, fg, now, wni, wnf, total, rounds
-    else begin
-      (* [Conservative] runs the same rebuild-between-rounds fixpoint
-         but gates every merge on the Briggs test, so the pre-pass only
-         takes the merges the worklist drive could never regret; the
-         moves it leaves behind become the staged IRC worklist below. *)
+    match mode with
+    | Off -> finish (graphs ())
+    | Conservative ->
+      (* the same fixpoint as [Aggressive], but each round builds its
+         graph, since the Briggs test needs neighbor degrees: the pre-pass
+         only takes the merges the worklist drive could never regret; the
+         moves it leaves behind become the staged IRC worklist below *)
+      let ((ig, fg, now, _, _) as built) = graphs () in
+      let mergeable _ wd ws =
+        let cls = cls_of_web webs wd in
+        let g = match cls with Reg.Int_reg -> ig | Reg.Flt_reg -> fg in
+        let nd = now.(wd) and ns = now.(ws) in
+        (not (Igraph.interferes g nd ns))
+        && briggs_safe stamps g ~k:(Machine.regs machine cls) nd ns
+      in
       let merged =
         Telemetry.span tele Phase.Coalesce (fun () ->
-          find_coalescable machine proc webs alias now ig fg
-            ~conservative:(mode = Conservative) ~touched)
+          find_coalescable webs alias moves ~mergeable ~touched)
       in
-      if merged = 0 then ig, fg, now, wni, wnf, total, rounds
-      else
-        fixpoint (total + merged) ~first:false ~rounds:(rounds + 1)
-          ~prev_rep:rep ~prev_live:live
-    end
+      if merged = 0 then finish built else next merged
+    | Aggressive ->
+      (* a merging round only needs its candidate moves' interference:
+         query those pairs, and build the graph once, in the round that
+         merges nothing *)
+      let answer =
+        Telemetry.span tele Phase.Scan
+          ~args:(fun () -> [ "proc", proc.name; "kind", "query" ])
+          (fun () -> query_interference cfg webs moves ~rep ~numbering ~live)
+      in
+      if verify then
+        Telemetry.span tele Phase.Verify (fun () ->
+          check_query ~rep ~numbering ~live answer);
+      let merged =
+        Telemetry.span tele Phase.Coalesce (fun () ->
+          find_coalescable webs alias moves
+            ~mergeable:(fun m _ _ -> not answer.(m))
+            ~touched)
+      in
+      if merged = 0 then finish (graphs ()) else next merged
   in
   let int_graph, flt_graph, node_of_web, web_of_node_int, web_of_node_flt,
       moves_coalesced, rounds =
@@ -1006,29 +1203,22 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
      fixpoint left behind), making the two paths comparable in traces. *)
   let stage_remaining_moves () =
     let find = Union_find.find alias in
-    let spill_temp w = (Webs.web webs w).Webs.spill_temp in
     let seen = Hashtbl.create 64 in
     let rev_int = ref [] and rev_flt = ref [] in
-    Array.iteri
-      (fun i (node : Proc.node) ->
-        match Instr.move_of node.ins with
-        | None -> ()
-        | Some (dreg, sreg) ->
-          let wd = find (Webs.def_web webs i dreg) in
-          let ws = find (Webs.use_web webs i sreg) in
-          if wd <> ws && (not (spill_temp wd)) && not (spill_temp ws)
-          then begin
-            let key = if wd < ws then (wd, ws) else (ws, wd) in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key ();
-              match cls_of_web webs wd with
-              | Reg.Int_reg ->
-                rev_int := (node_of_web.(wd), node_of_web.(ws)) :: !rev_int
-              | Reg.Flt_reg ->
-                rev_flt := (node_of_web.(wd), node_of_web.(ws)) :: !rev_flt
-            end
-          end)
-      proc.code;
+    for m = 0 to Array.length moves.mv_def - 1 do
+      let wd = find moves.mv_def.(m) and ws = find moves.mv_use.(m) in
+      if candidate webs wd ws then begin
+        let key = if wd < ws then (wd, ws) else (ws, wd) in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          match cls_of_web webs wd with
+          | Reg.Int_reg ->
+            rev_int := (node_of_web.(wd), node_of_web.(ws)) :: !rev_int
+          | Reg.Flt_reg ->
+            rev_flt := (node_of_web.(wd), node_of_web.(ws)) :: !rev_flt
+        end
+      end
+    done;
     Array.of_list (List.rev !rev_int), Array.of_list (List.rev !rev_flt)
   in
   let moves_int, moves_flt =

@@ -15,9 +15,13 @@ open Ra_analysis
       locals) interfere pairwise — they are all "defined" at entry.
 
     Coalescing (Chaitin's aggressive kind): a copy whose source and
-    destination webs do not interfere is merged and the graph rebuilt,
+    destination webs do not interfere is merged and liveness refreshed,
     repeating until no copy can be merged. Copies touching spill
-    temporaries are left alone so spill code stays intact.
+    temporaries are left alone so spill code stays intact. A round that
+    merges something never needs a whole graph: it asks an interference
+    query for its candidate copies only (the same answers the graph
+    would give), and the graph is built once, in the round that merges
+    nothing.
 
     The per-block edge scan — the dominant cost of every allocation
     pass — can run on a {!Ra_support.Pool}: blocks are sharded into
@@ -52,7 +56,9 @@ type t = {
     (* web-granularity liveness under the identity aliasing (coalescing
        iteration 0) — the allocation context seeds the next spill pass's
        build from it via [Liveness.update] *)
-  rounds : int; (* edge-scan rounds this build ran (1 + re-coalesces) *)
+  rounds : int;
+    (* coalescing rounds this build ran: 1 + the rounds that merged
+       something ([Aggressive] builds a graph in the last one only) *)
   cache_hits : int; (* blocks replayed from the edge cache, all rounds *)
   cache_misses : int; (* blocks rescanned, all rounds (0 without cache) *)
   moves_int : (int * int) array;
@@ -99,6 +105,10 @@ val par_scratch : unit -> par_scratch
       invalidates the blocks that received spill code — the same dirty
       set handed to {!Liveness.update}.
 
+    Only [Conservative] builds (every round) and [Off] builds (across
+    spill passes) take one; {!build} raises [Invalid_argument] when an
+    [Aggressive] build is given a cache.
+
     Within one {!build}, invalidation is automatic: a coalescing round
     rescans the blocks {!Liveness.refresh} re-solved plus every block
     where a re-aliased web's former representative was live or had a
@@ -141,12 +151,18 @@ end
 
 (** Test hook for the race detector: when set, every parallel
     cache-backed rescan task additionally invalidates the first block of
-    the next chunk — memory-safe and output-preserving (the entry keeps
-    its just-scanned layers and is merely rescanned next round), but a
-    logically concurrent write into a sibling task's declared edge-cache
-    slot range. [RA_RACE_CHECK] must flag it as both a write/write race
-    and a footprint violation, under any schedule. *)
+    the next chunk — memory-safe, but a logically concurrent write into
+    a sibling task's declared edge-cache slot range. It is not
+    output-preserving (an entry invalidated after its rescan replays a
+    stale layer in a later round), so run it with [verify] off.
+    [RA_RACE_CHECK] must flag it as both a write/write race and a
+    footprint violation, under any schedule. *)
 val seeded_cache_race : bool ref
+
+(** Test hook for the interference-query cross-check: when set, every
+    [Aggressive] coalescing round flips the query answer of its first
+    candidate move. A build with [verify] must then raise {!Divergence}. *)
+val seeded_query_flip : bool ref
 
 (** Cut the CFG's blocks into at most [n_chunks] contiguous ranges of
     roughly equal instruction count. [starts.(c)] is chunk [c]'s first
@@ -175,17 +191,19 @@ val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
     scratch set). [cache] makes the scan incremental (see
     {!Edge_cache}); with a pool, workers rescan only the dirty blocks of
     their chunk. [verify] cross-checks, every fixpoint round, the
-    parallel/cached graphs against a sequential uncached rebuild and the
-    refreshed liveness against a full solve, raising {!Divergence} on
-    any difference. Results are bit-identical with and without a pool,
-    and with and without a cache.
+    parallel/cached graphs against a sequential uncached rebuild, every
+    [Aggressive] round's interference-query answers against that
+    rebuild's edges, and the refreshed liveness against a full solve,
+    raising {!Divergence} on any difference. Results are bit-identical
+    with and without a pool, and with and without a cache.
 
     [tele] (default {!Ra_support.Telemetry.null}) receives the build's
-    internal spans: {!Ra_support.Phase.Scan} around every edge scan —
-    emitted from inside the pool workers, so a sharded scan traces as
-    per-domain tracks — {!Ra_support.Phase.Liveness} around solves and
-    refreshes, {!Ra_support.Phase.Coalesce} around the copy-merge scan,
-    and {!Ra_support.Phase.Verify} around the [verify] cross-checks. *)
+    internal spans: {!Ra_support.Phase.Scan} around every edge scan and
+    interference query — emitted from inside the pool workers, so a
+    sharded scan traces as per-domain tracks —
+    {!Ra_support.Phase.Liveness} around solves and refreshes,
+    {!Ra_support.Phase.Coalesce} around the copy-merge scan, and
+    {!Ra_support.Phase.Verify} around the [verify] cross-checks. *)
 val build :
   Machine.t ->
   Ra_ir.Proc.t ->

@@ -28,7 +28,9 @@ type t = {
   scratch_int : Igraph.t;
   scratch_flt : Igraph.t;
   buckets : Degree_buckets.t;
-  edge_cache : Build.Edge_cache.t option;
+  edge_cache_on : bool;
+  mutable edge_cache : Build.Edge_cache.t option;
+    (* created by the first build that reads it, see [edge_cache_for] *)
   stats : stats;
   mutable prev : prev option;
 }
@@ -90,7 +92,8 @@ let create ?(incremental = incremental_default) ?(verify = verify_default)
     scratch_int = Igraph.create ~n_nodes:0 ~n_precolored:0;
     scratch_flt = Igraph.create ~n_nodes:0 ~n_precolored:0;
     buckets = Degree_buckets.create ~max_degree:1;
-    edge_cache = (if edge_cache then Some (Build.Edge_cache.create ()) else None);
+    edge_cache_on = edge_cache;
+    edge_cache = None;
     stats = { incremental_builds = 0; scratch_builds = 0; verified_builds = 0 };
     prev = None }
 
@@ -103,7 +106,19 @@ let analysis_cache t = t.acache
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
 let buckets t = t.buckets
 let stats t = t.stats
-let edge_cache_enabled t = t.edge_cache <> None
+let edge_cache_enabled t = t.edge_cache_on
+
+(* The cache a [mode] build reads: only [Conservative] builds (every
+   coalescing round) and [Off] builds (across spill passes) replay
+   anything from it. An [Aggressive] build scans once per pass, so it
+   gets none, and a context that only runs those never creates one. *)
+let edge_cache_for t (mode : Build.coalesce_mode) =
+  match mode with
+  | Build.Aggressive -> None
+  | Build.Conservative | Build.Off ->
+    if t.edge_cache_on && t.edge_cache = None then
+      t.edge_cache <- Some (Build.Edge_cache.create ());
+    t.edge_cache
 
 let begin_proc t =
   t.prev <- None;
@@ -194,10 +209,11 @@ let scratch_build ?(reference = false) t (proc : Proc.t) ~is_spill_vreg
          nothing about (no remap ran), so whatever it holds is stale:
          drop it. Round 0 rescans everything; the cache still pays off
          within the pass, on the coalescing rounds. *)
-      Option.iter Build.Edge_cache.clear t.edge_cache;
+      let cache = edge_cache_for t mode in
+      Option.iter Build.Edge_cache.clear cache;
       Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ?scratch
-        ?pool:t.pool ~par:t.par ~touched:t.touched ?cache:t.edge_cache
-        ~verify:t.verify ~tele:t.tele ()
+        ?pool:t.pool ~par:t.par ~touched:t.touched ?cache ~verify:t.verify
+        ~tele:t.tele ()
     end
   in
   cfg, webs, built
@@ -229,13 +245,14 @@ let incremental_build t (proc : Proc.t) prev (sp : Spill.result) ~mode =
   (* The edge cache survives the pass boundary the same way liveness
      does: rename surviving web ids through the canonical renumbering
      and invalidate exactly the blocks that received spill code. *)
+  let cache = edge_cache_for t mode in
   Option.iter
     (fun ec -> Build.Edge_cache.remap ec ~old_to_new ~dirty_blocks)
-    t.edge_cache;
+    cache;
   let built =
     Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ~live0
       ~scratch:(t.scratch_int, t.scratch_flt) ?pool:t.pool ~par:t.par
-      ~touched:t.touched ?cache:t.edge_cache ~verify:t.verify ~tele:t.tele ()
+      ~touched:t.touched ?cache ~verify:t.verify ~tele:t.tele ()
   in
   cfg, webs, built
 

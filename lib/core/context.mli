@@ -28,7 +28,9 @@
     pairs that let every build after a procedure's first round rescan
     only dirty blocks (coalescing rounds reuse clean blocks within a
     pass; spill passes carry the cache across via the same canonical
-    renumbering and dirty-block report the liveness update uses).
+    renumbering and dirty-block report the liveness update uses). Only
+    conservative (irc) and no-coalesce builds read it; aggressive builds
+    build one graph per pass and leave it alone.
 
     [RA_INCREMENTAL=0] disables the incremental path entirely — every
     pass then rebuilds from scratch (still into the reused buffers);

@@ -913,8 +913,12 @@ let submit_dag sched cfgn machine ~tele ?bpool ?(edge_cache = true)
   let submit_build ~label ~mode =
     let token = Atomic.fetch_and_add next_state_token 1 in
     let cell = ref None in
+    (* only a Conservative build scans more than once, so only it can
+       replay anything from a build-private cache *)
     let cache =
-      if edge_cache then Some (Build.Edge_cache.create ()) else None
+      if edge_cache && mode = Build.Conservative then
+        Some (Build.Edge_cache.create ())
+      else None
     in
     ignore
       (Scheduler.submit sched ~name:("build:" ^ label)

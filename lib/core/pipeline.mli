@@ -31,9 +31,15 @@ type pass_record = {
   edges_flt : int;
   spilled : int; (* live ranges spilled on this pass *)
   spill_cost : float; (* their total estimated spill cost *)
-  build_rounds : int; (* edge-scan rounds (1 + coalescing re-rounds) *)
-  cache_hits : int; (* blocks replayed from the edge cache, all rounds *)
-  cache_misses : int; (* blocks rescanned (equals blocks x rounds uncached) *)
+  build_rounds : int;
+    (* coalescing rounds: 1 + the rounds that merged something. Not graph
+       builds — an aggressive pass answers its merging rounds with an
+       interference query and builds one graph; irc builds one per round *)
+  cache_hits : int;
+    (* blocks the edge cache replayed, summed over the pass's graph
+       builds; 0 without a cache and for aggressive builds, which do not
+       use it *)
+  cache_misses : int; (* blocks rescanned into the edge cache, likewise *)
   build_time : float; (* seconds *)
   coalesce_time : float;
     (* irc's worklist drive (simplify interleaved with conservative
@@ -103,8 +109,9 @@ val run :
     [tele] is the shared build task's sink; each pipeline reports into
     its context's sink as usual. [bpool] (typically
     {!Ra_support.Scheduler.pool}) shards the shared build's edge scan;
-    [edge_cache] (default on) gives the shared build a private cache
-    for its coalescing rounds. *)
+    [edge_cache] (default on) gives each irc pipeline's conservative
+    build a private cache for its coalescing rounds; the shared build
+    builds one graph and needs none. *)
 val submit_dag :
   Ra_support.Scheduler.t ->
   config ->

@@ -136,8 +136,6 @@ let elt_index (a : Value.aggregate) idx =
     error "index %d out of bounds for aggregate of %d elements" idx n;
   idx
 
-let trace_stores = Sys.getenv_opt "RA_TRACE" <> None
-
 let rec call state name (args : Value.t list) : Value.t option =
   match name with
   | "print_int" ->
@@ -231,11 +229,6 @@ let rec call state name (args : Value.t list) : Value.t option =
         | Instr.Store (base, idx, s) ->
           let a = get_agg frame base in
           let i = elt_index a (get_int frame idx) in
-          if trace_stores then
-            state.rev_output <-
-              Printf.sprintf "S %d %s" i
-                (Value.to_string (get_value frame s))
-              :: state.rev_output;
           (match a.tag, s.cls with
            | Instr.Eint, Reg.Int_reg -> a.idata.(i) <- get_int frame s
            | Instr.Eflt, Reg.Flt_reg -> a.fdata.(i) <- get_flt frame s

@@ -24,9 +24,8 @@ type outcome = {
     procedure set. [fuel] bounds the *total* dynamic instruction count
     (default: 200 million).
 
-    Debugging aid: when the environment variable [RA_TRACE] is set, every
-    memory store appends a line ["S <index> <value>"] to [output] — used
-    to diff executions of differently-allocated code.
+    No environment variable changes [output]: [RA_TRACE], the allocation
+    trace, leaves program output untouched.
 
     Raises [Runtime_error] on: type-confused registers, out-of-bounds
     indexing, division by zero, calls to unknown procedures, arity

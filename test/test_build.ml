@@ -350,11 +350,21 @@ let cached_rebuild_replays_all_blocks () =
   Alcotest.(check bool) "partially-cached graphs match" true
     (same_build plain partial);
   (* with coalescing the round count varies, but totals must add up and
-     the verified graphs still match an uncached build *)
+     the verified graphs still match an uncached build. Conservative
+     coalescing is the cache's multi-round user: an aggressive build
+     queries its merging rounds and builds one graph, uncached, so it
+     refuses a cache. *)
   Build.Edge_cache.clear cache;
-  let seq = Build.build Machine.rt_pc p cfg ~webs () in
-  ignore (Build.build Machine.rt_pc p cfg ~webs ~cache ~verify:true ());
-  let rebuilt = Build.build Machine.rt_pc p cfg ~webs ~cache ~verify:true () in
+  Alcotest.check_raises "aggressive builds take no cache"
+    (Invalid_argument "Build.build: an Aggressive build takes no edge cache")
+    (fun () -> ignore (Build.build Machine.rt_pc p cfg ~webs ~cache ()));
+  let conservative ?cache ?verify () =
+    Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode:Build.Conservative
+      ?cache ?verify ()
+  in
+  let seq = conservative () in
+  ignore (conservative ~cache ~verify:true ());
+  let rebuilt = conservative ~cache ~verify:true () in
   Alcotest.(check int) "scans account for every block every round"
     (n * rebuilt.Build.rounds)
     (rebuilt.Build.cache_hits + rebuilt.Build.cache_misses);
@@ -378,17 +388,76 @@ let poisoned_cache_trips_verify () =
   let cfg = Cfg.build p.Proc.code in
   let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
   let cache = Build.Edge_cache.create () in
-  ignore (Build.build Machine.rt_pc p cfg ~webs ~cache ());
+  let build ?cache ?verify () =
+    Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode:Build.Conservative
+      ?cache ?verify ()
+  in
+  ignore (build ~cache ());
   Alcotest.(check bool) "an entry was poisoned" true
     (Build.Edge_cache.poison cache);
-  (match Build.build Machine.rt_pc p cfg ~webs ~cache ~verify:true () with
+  (match build ~cache ~verify:true () with
    | _ -> Alcotest.fail "verified build accepted a poisoned cache"
    | exception Build.Divergence _ -> ());
   (* and without the cross-check, clearing recovers a correct graph *)
   Build.Edge_cache.clear cache;
-  let rebuilt = Build.build Machine.rt_pc p cfg ~webs ~cache ~verify:true () in
-  let plain = Build.build Machine.rt_pc p cfg ~webs () in
+  let rebuilt = build ~cache ~verify:true () in
+  let plain = build () in
   Alcotest.(check bool) "clear recovers" true (same_build plain rebuilt)
+
+(* ---- interference query ---- *)
+
+let flipped_query_trips_verify () =
+  (* the mutation test for the aggressive rounds: one flipped interference
+     answer must not survive a verified build — the cross-check against
+     the reference graph has to catch it *)
+  let src =
+    {| proc f(n: int) : int {
+         var a: int; var b: int; var c: int;
+         a = n * 3;
+         b = a;
+         c = b + n;
+         if (c > a) { c = c - b; }
+         return c + a;
+       } |}
+  in
+  let p = List.hd (Codegen.compile_source src) in
+  let cfg = Cfg.build p.Proc.code in
+  let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
+  let honest = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
+  Alcotest.(check bool) "the program has moves to coalesce" true
+    (honest.Build.moves_coalesced > 0);
+  Build.seeded_query_flip := true;
+  Fun.protect
+    ~finally:(fun () -> Build.seeded_query_flip := false)
+    (fun () ->
+      match Build.build Machine.rt_pc p cfg ~webs ~verify:true () with
+      | _ -> Alcotest.fail "verified build accepted a flipped query answer"
+      | exception Build.Divergence _ -> ())
+
+let query_matches_graph_on_suite () =
+  (* every aggressive round of every suite routine, with and without a
+     pool: the verified build compares each candidate move's query answer
+     with the reference graph's edge, and the final graph with the
+     sequential one *)
+  List.iter
+    (fun program ->
+      List.iter
+        (fun (p : Proc.t) ->
+          let cfg = Cfg.build p.Proc.code in
+          let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
+          let seq = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
+          let par =
+            Build.build Machine.rt_pc p cfg ~webs
+              ~pool:(List.nth (Lazy.force pools) 1)
+              ~par:(Build.par_scratch ())
+              ~touched:(Ra_support.Bitset.create 0)
+              ~verify:true ()
+          in
+          Alcotest.(check bool)
+            (p.Proc.name ^ ": pooled build matches")
+            true (same_build seq par))
+        (Ra_programs.Suite.compile program))
+    Ra_programs.Suite.all
 
 let suites =
   [ ( "build.interference",
@@ -414,4 +483,9 @@ let suites =
       [ Alcotest.test_case "cached rebuild replays all blocks" `Quick
           cached_rebuild_replays_all_blocks;
         Alcotest.test_case "poisoned cache trips verify" `Quick
-          poisoned_cache_trips_verify ] ) ]
+          poisoned_cache_trips_verify ] );
+    ( "build.query",
+      [ Alcotest.test_case "flipped answer trips verify" `Quick
+          flipped_query_trips_verify;
+        Alcotest.test_case "answers match the graph on the suite" `Quick
+          query_matches_graph_on_suite ] ) ]

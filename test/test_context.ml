@@ -235,7 +235,9 @@ let prop_parallel_equals_sequential =
 let edge_cache_reused_across_passes () =
   (* a multi-pass spilling allocation through a cache-backed context must
      replay clean blocks from the cache on every pass after the first —
-     and still reproduce the uncached result exactly *)
+     and still reproduce the uncached result exactly. Irc is the cache's
+     user: its Conservative builds rebuild the graph every round, while
+     the aggressive heuristics build one graph per pass, uncached. *)
   let machine = machine_k 3 in
   let p = List.hd (compile spilling_src) in
   let cac_ctx = Context.create ~incremental:true ~edge_cache:true machine in
@@ -244,8 +246,8 @@ let edge_cache_reused_across_passes () =
     (Context.edge_cache_enabled cac_ctx);
   Alcotest.(check bool) "uncached context reports disabled" false
     (Context.edge_cache_enabled scr_ctx);
-  let cac = Allocator.allocate ~context:cac_ctx machine Heuristic.Briggs p in
-  let scr = Allocator.allocate ~context:scr_ctx machine Heuristic.Briggs p in
+  let cac = Allocator.allocate ~context:cac_ctx machine Heuristic.Irc p in
+  let scr = Allocator.allocate ~context:scr_ctx machine Heuristic.Irc p in
   Alcotest.(check bool) "multi-pass program" true
     (List.length cac.Allocator.passes >= 2);
   Alcotest.(check bool) "identical to uncached" true

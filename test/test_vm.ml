@@ -162,6 +162,36 @@ let value_conversions () =
    | agg ->
      Alcotest.(check int) "matrix length" 6 (Value.length agg))
 
+(* Allocation tracing is a process-wide environment knob; turning it on
+   must never change what a program prints. *)
+let tracing_leaves_output_unchanged () =
+  let src =
+    {| proc f(b: array int) {
+         b[1] = 7;
+         print_int(b[1]);
+       } |}
+  in
+  let procs = Ra_ir.Codegen.compile_source src in
+  let go () =
+    (Exec.run ~procs ~entry:"f" ~args:[ Value.of_int_array [| 0 |] ] ())
+      .Exec.output
+  in
+  let plain = go () in
+  Alcotest.(check (list string)) "untraced output" [ "7" ] plain;
+  let trace_path =
+    Filename.concat (Filename.get_temp_dir_name ()) "ra-vm-trace-test.json"
+  in
+  let old = Sys.getenv_opt "RA_TRACE" in
+  Unix.putenv "RA_TRACE" trace_path;
+  let traced =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "RA_TRACE" (Option.value old ~default:""))
+      go
+  in
+  Alcotest.(check (list string)) "RA_TRACE leaves output unchanged" plain
+    traced
+
 let suites =
   [ ( "vm.semantics",
       [ Alcotest.test_case "int arithmetic" `Quick int_arith;
@@ -179,4 +209,7 @@ let suites =
     ( "vm.costs",
       [ Alcotest.test_case "output order" `Quick output_order;
         Alcotest.test_case "cycles accumulate" `Quick cycles_accumulate;
-        Alcotest.test_case "memory costs more" `Quick memory_costs_more ] ) ]
+        Alcotest.test_case "memory costs more" `Quick memory_costs_more ] );
+    ( "vm.trace",
+      [ Alcotest.test_case "tracing leaves output unchanged" `Quick
+          tracing_leaves_output_unchanged ] ) ]
