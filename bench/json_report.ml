@@ -473,12 +473,12 @@ let run ~picks () =
   in
   let moves_gate_ok = 2 * move_wins >= List.length move_heavy in
   (* DAG engagement: the lent wide_pool is only worth its plumbing if a
-     DAG suite run actually enters both speculative Color-stage engines.
-     Suite graphs sit under the engines' production node floors (those
-     exist to keep small routines sequential), so the floors drop to 1
-     for this one run — the engines' structural chunk minima still
-     decide per graph — and the run's own telemetry sink is read back
-     for the engagement counters. The outcomes must still fingerprint
+     DAG suite run actually enters the speculative Select engine. Suite
+     graphs sit under the engine's production node floor (it exists to
+     keep small routines sequential), so the floor drops to 1 for this
+     one run — the engine's structural chunk minimum still decides per
+     graph — and the run's own telemetry sink is read back for the
+     engagement counter. The outcomes must still fingerprint
      identically to the sequential suite. *)
   let eng_tele = Ra_support.Telemetry.create () in
   (* sized to [jobs], not [hw_jobs]: this asserts the engagement
@@ -488,19 +488,14 @@ let run ~picks () =
     Fun.protect
       ~finally:(fun () ->
         Par_color.set_min_nodes None;
-        Par_simplify.set_min_nodes None;
         Ra_support.Scheduler.shutdown eng_sched)
       (fun () ->
         Par_color.set_min_nodes (Some 1);
-        Par_simplify.set_min_nodes (Some 1);
         Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:eng_sched
           ~tele:eng_tele machine heuristics suite_procs)
   in
   let eng_color =
     Ra_support.Telemetry.counter_total eng_tele "par_color.engaged"
-  in
-  let eng_simplify =
-    Ra_support.Telemetry.counter_total eng_tele "par_simplify.engaged"
   in
   let eng_identical = List.map (List.map fingerprint) eng_res = !seq_fps in
   if not eng_identical then
@@ -508,10 +503,6 @@ let run ~picks () =
   if eng_color = 0 then
     divergences :=
       "dag engagement: par_color never engaged on the suite" :: !divergences;
-  if eng_simplify = 0 then
-    divergences :=
-      "dag engagement: par_simplify never engaged on the suite"
-      :: !divergences;
   (* telemetry overhead: the routine set end to end with the sink
      disabled (the default) vs buffering every span and counter.
      Min-of-reps on both sides; the disabled path must not be slower
@@ -605,9 +596,6 @@ let run ~picks () =
   (* the speculative-coloring section: synthetic graphs, sequential
      baseline vs engine at widths 1/2/4/8, with its own gates *)
   let par_color_json, par_color_fails = Synth_bench.section () in
-  (* the speculative-Simplify section: same synthetic graphs, peeling
-     engine vs the faithful sequential baseline, its own gates *)
-  let par_simplify_json, par_simplify_fails = Par_simplify_bench.section () in
   let utilization =
     String.concat ", "
       (Array.to_list
@@ -641,9 +629,8 @@ let run ~picks () =
         \"analysis_cache\": {\"hits\": %d, \"misses\": %d, \
         \"hit_rate\": %s},\n  \
         \"dag_engagement\": {\"par_color_engaged\": %d, \
-        \"par_simplify_engaged\": %d, \"identical\": %b},\n  \
-        \"par_color\": %s,\n  \
-        \"par_simplify\": %s,\n  \"divergences\": [%s]\n}\n"
+        \"identical\": %b},\n  \
+        \"par_color\": %s,\n  \"divergences\": [%s]\n}\n"
        jobs
        (List.length suite_procs)
        (String.concat ", "
@@ -681,7 +668,7 @@ let run ~picks () =
        aca_hits aca_misses
        (if aca_lookups = 0 then "null"
         else Printf.sprintf "%.4f" (float aca_hits /. float aca_lookups))
-       eng_color eng_simplify eng_identical par_color_json par_simplify_json
+       eng_color eng_identical par_color_json
        (String.concat ", "
           (List.rev_map (Printf.sprintf "\"%s\"") !divergences)));
   let path = "BENCH_alloc.json" in
@@ -742,11 +729,5 @@ let run ~picks () =
      big synthetic graphs *)
   if par_color_fails <> [] then begin
     List.iter (fun f -> Printf.eprintf "%s\n" f) par_color_fails;
-    exit 1
-  end;
-  (* same gates for the peeling Simplify engine: bit-identical at every
-     width, width 1 within the slack, width >= 2 wins at scale *)
-  if par_simplify_fails <> [] then begin
-    List.iter (fun f -> Printf.eprintf "%s\n" f) par_simplify_fails;
     exit 1
   end

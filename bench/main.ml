@@ -47,8 +47,7 @@ let available =
     "fig7", Fig7.run;
     "ablation", Ablation.run;
     "micro", Micro.run;
-    "synth", Synth_bench.run;
-    "par_simplify", Par_simplify_bench.run ]
+    "synth", Synth_bench.run ]
 
 let () =
   let args =

@@ -106,16 +106,6 @@ let no_par_color_arg =
 let apply_par_color no_par =
   if no_par then Ra_core.Par_color.set_enabled (Some false)
 
-let no_par_simplify_arg =
-  Arg.(value & flag & info [ "no-par-simplify" ]
-         ~doc:"Keep the Simplify stage on the plain sequential path \
-               instead of the speculative parallel peeling engine \
-               (same as RA_PAR_SIMPLIFY=0). Results are bit-identical \
-               either way; this only moves work off the pool.")
-
-let apply_par_simplify no_par =
-  if no_par then Ra_core.Par_simplify.set_enabled (Some false)
-
 let sched_arg =
   Arg.(value & opt (some (enum [ "dag", Ra_core.Batch.Dag;
                                  "flat", Ra_core.Batch.Flat ]))
@@ -208,11 +198,10 @@ let dump_cmd =
 
 let alloc_cmd =
   let run file proc heuristic k verbose optimize verify jobs no_cache race
-      trace sched no_par no_par_simplify =
+      trace sched no_par =
     apply_trace trace;
     apply_sched sched;
     apply_par_color no_par;
-    apply_par_simplify no_par_simplify;
     let pool = apply_jobs jobs in
     let machine = machine_of_k k in
     let h = heuristic_of_name heuristic in
@@ -243,7 +232,7 @@ let alloc_cmd =
   Cmd.v (Cmd.info "alloc" ~doc:"Register-allocate and report statistics")
     Term.(const run $ file_arg $ proc_arg $ heuristic_arg $ k_arg $ verbose
           $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg $ race_arg
-          $ trace_arg $ sched_arg $ no_par_color_arg $ no_par_simplify_arg)
+          $ trace_arg $ sched_arg $ no_par_color_arg)
 
 (* ---- run ---- *)
 
@@ -473,12 +462,10 @@ let synth_cmd =
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let run file k optimize jobs no_cache race trace sched no_par
-      no_par_simplify =
+  let run file k optimize jobs no_cache race trace sched no_par =
     apply_trace trace;
     apply_sched sched;
     apply_par_color no_par;
-    apply_par_simplify no_par_simplify;
     ignore (apply_jobs jobs);
     let machine = machine_of_k k in
     let procs = compile ~optimize file in
@@ -581,8 +568,7 @@ let compare_cmd =
        ~doc:"Per-procedure spill statistics across all four heuristics \
              (chaitin, briggs, matula, irc)")
     Term.(const run $ file_arg $ k_arg $ opt_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg $ sched_arg $ no_par_color_arg
-          $ no_par_simplify_arg)
+          $ race_arg $ trace_arg $ sched_arg $ no_par_color_arg)
 
 let () =
   let info = Cmd.info "rralloc" ~doc:"Briggs-style graph-coloring register allocator" in

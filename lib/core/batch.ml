@@ -21,8 +21,8 @@ let map_procs ?pool ?context ?edge_cache machine ~f (procs : Proc.t list) =
        [jobs:1] — nesting block-sharded builds inside procedure tasks
        would queue [jobs × jobs] tasks on the same pool for no extra
        width — but the pool is lent to each context as [wide_pool], so
-       a routine whose interference graph clears the engines'
-       node-count floors can still go wide inside Simplify/Select
+       a routine whose interference graph clears the Select engine's
+       node-count floor can still go wide inside Select
        (Pool.run is re-entrant: a task that fans out simply has its
        subtasks interleaved on the same domains, never oversubscribing,
        while small routines never touch the lent pool and so never
@@ -136,9 +136,9 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
                stage chain's only mutable state besides its proc copy.
                Build scans stay at jobs:1 (procedure-level parallelism
                owns the domains), but the scheduler's pool façade is
-               lent as [wide_pool] so large Color stages can peel and
-               select in parallel — the engines' floors gate the
-               engagement on web count. *)
+               lent as [wide_pool] so large Color stages can select in
+               parallel — the engine's floor gates the engagement on
+               web count. *)
             let pipelines =
               List.map
                 (fun h ->

@@ -12,6 +12,7 @@ type simplify_result = {
 let simplify (g : Igraph.t) ~k ~costs ~policy : simplify_result =
   let n = Igraph.n_nodes g in
   if Array.length costs <> n then invalid_arg "Coloring.simplify: costs arity";
+  Spill_election.check_costs ~who:"Coloring.simplify" costs;
   let removed = Array.make n false in
   let deg = Array.init n (fun i -> Igraph.degree g i) in
   (* Worklist of low-degree (< k) nodes: seeded in descending id order so
@@ -40,32 +41,15 @@ let simplify (g : Igraph.t) ~k ~costs ~policy : simplify_result =
         end
       end)
   in
+  let election =
+    Spill_election.create ~costs ~degree:deg ~first:(Igraph.n_precolored g)
+      ~candidate:(fun i -> not removed.(i))
+  in
   let pick_spill_candidate () =
-    (* minimum cost/degree ratio; ties by lowest id; infinite-cost nodes
-       only when nothing else remains *)
-    let best = ref (-1) in
-    let best_ratio = ref infinity in
-    let best_infinite = ref (-1) in
-    for i = Igraph.n_precolored g to n - 1 do
-      if not removed.(i) then
-        if costs.(i) = infinity then begin
-          if !best_infinite < 0 then best_infinite := i
-        end
-        else begin
-          let ratio = costs.(i) /. float_of_int (max deg.(i) 1) in
-          if ratio < !best_ratio then begin
-            best_ratio := ratio;
-            best := i
-          end
-        end
-    done;
-    if !best >= 0 then !best
-    else begin
-      match policy with
-      | Spill_during_simplify ->
-        failwith "Coloring.simplify: unspillable nodes form an uncolorable core"
-      | Defer_to_select -> !best_infinite
-    end
+    let node = Spill_election.elect election in
+    if costs.(node) = infinity && policy = Spill_during_simplify then
+      failwith "Coloring.simplify: unspillable nodes form an uncolorable core";
+    node
   in
   let rec loop () =
     match !low with

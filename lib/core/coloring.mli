@@ -20,13 +20,15 @@ type simplify_result = {
 }
 
 (** [simplify g ~k ~costs ~policy] runs the simplification phase.
-    [costs.(n)] is node [n]'s precomputed spill cost; [infinity] marks
-    never-spill nodes (spill temporaries). Precolored nodes are not
+    [costs.(n)] is node [n]'s precomputed spill cost, [>= 0]; [infinity]
+    marks never-spill nodes (spill temporaries). Precolored nodes are not
     removed. Degree-< k nodes are removed lowest-id first; blocked states
-    choose the minimum cost/degree node (ties by id).
+    elect through {!Spill_election}: the minimum cost/degree node, ties
+    by id, infinite-cost nodes only when nothing finite remains.
 
-    Raises [Failure] in Chaitin mode if every remaining node has infinite
-    cost (an unspillable, uncolorable core — indicates a bug upstream). *)
+    Raises [Invalid_argument] on a negative or NaN cost, and [Failure] in
+    Chaitin mode if every remaining node has infinite cost (an
+    unspillable, uncolorable core — indicates a bug upstream). *)
 val simplify :
   Igraph.t -> k:int -> costs:float array -> policy:spill_policy ->
   simplify_result

@@ -71,8 +71,8 @@ type t
     Color-stage work without owning it for block scans: batch drivers
     that pin [jobs:1] per pipeline (procedure-level parallelism) pass
     the scheduler's pool here so big routines can still go wide inside
-    Simplify/Select (the engines' node-count floors keep small
-    routines off it). Ignored when its width is 1. *)
+    Select (the engine's node-count floor keeps small routines off
+    it). Ignored when its width is 1. *)
 val create :
   ?incremental:bool ->
   ?verify:bool ->

@@ -38,18 +38,11 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
       Par_color.select ?pool ~verify ~tele g ~k ~order
     else Coloring.select g ~k ~order
   in
-  (* Simplify likewise: the peeling engine emits the identical removal
-     order and spill decisions (RA_PAR_SIMPLIFY / _MIN gate it). *)
-  let simplify g ~k ~costs ~policy =
-    if Par_simplify.should ~pool ~n_nodes:(Igraph.n_nodes g) then
-      Par_simplify.simplify ?pool ~verify ~tele g ~k ~costs ~policy
-    else Coloring.simplify g ~k ~costs ~policy
-  in
   match t with
   | Chaitin ->
     let { Coloring.order; marked } =
       timed Ra_support.Phase.Simplify (fun () ->
-        simplify g ~k ~costs ~policy:Coloring.Spill_during_simplify)
+        Coloring.simplify g ~k ~costs ~policy:Coloring.Spill_during_simplify)
     in
     if marked <> [] then Spill marked
     else begin
@@ -64,7 +57,7 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
   | Briggs ->
     let { Coloring.order; marked } =
       timed Ra_support.Phase.Simplify (fun () ->
-        simplify g ~k ~costs ~policy:Coloring.Defer_to_select)
+        Coloring.simplify g ~k ~costs ~policy:Coloring.Defer_to_select)
     in
     assert (marked = []);
     let { Coloring.colors; uncolored } =
@@ -89,15 +82,11 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
       Colored colors
     end
   | Irc ->
-    (* The speculative engines assume the frozen degree/removal state of
-       a plain Simplify and a pure rank recurrence in Select; iterated
-       coalescing mutates degrees, adjacency and aliasing mid-loop, so
-       neither engine can engage. Record the declination instead of
+    (* The speculative Select engine assumes a pure rank recurrence;
+       iterated coalescing mutates degrees, adjacency and aliasing
+       mid-loop, so it cannot engage. Record the declination instead of
        silently running at the wrong width. *)
-    let n_nodes = Igraph.n_nodes g in
-    if Par_simplify.should ~pool ~n_nodes then
-      Ra_support.Telemetry.counter tele "par_simplify.declined_irc" 1;
-    if Par_color.should ~pool ~n_nodes then
+    if Par_color.should ~pool ~n_nodes:(Igraph.n_nodes g) then
       Ra_support.Telemetry.counter tele "par_color.declined_irc" 1;
     let stats =
       match irc_stats with Some s -> s | None -> Irc.fresh_stats ()

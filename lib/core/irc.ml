@@ -24,10 +24,11 @@
    Determinism mirrors {!Coloring}: the simplify worklist is seeded in
    descending id order so pops ascend, later pushes are LIFO, moves are
    processed in staged (program) order through a FIFO, and the spill
-   election uses exactly {!Coloring.simplify}'s rule — minimum
-   cost/degree ratio, ties by lowest id, infinite-cost nodes only when
-   nothing else remains (then optimistically pushed, Briggs-style; the
-   real spill decision falls out of the select phase). *)
+   election is {!Coloring.simplify}'s, through {!Spill_election} —
+   minimum cost/degree ratio, ties by lowest id, infinite-cost nodes
+   only when nothing else remains (then optimistically pushed,
+   Briggs-style; the real spill decision falls out of the select
+   phase). *)
 
 type stats = {
   mutable combined : int; (* conservative merges performed *)
@@ -63,6 +64,7 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?stats ?on_coalesce
   let n = Igraph.n_nodes g in
   let np = Igraph.n_precolored g in
   if Array.length costs <> n then invalid_arg "Irc.run: costs arity";
+  Spill_election.check_costs ~who:"Irc.run" costs;
   (* combines merge live ranges, so spill costs must merge with them:
      a combined node is exactly as expensive to spill as its members
      together. Leaving the survivor's cost alone would make coalesced
@@ -158,6 +160,12 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?stats ?on_coalesce
     else if move_related i then push_freeze i
     else push_simplify i
   done;
+  (* spill candidates are the spill worklist; a node's ratio falls only
+     when combine raises its degree, so combine pushes the survivor *)
+  let election =
+    Spill_election.create ~costs ~degree ~first:np
+      ~candidate:(fun i -> kind.(i) = Spill_wl)
+  in
   let decrement_degree m =
     if m >= np then begin
       let d = degree.(m) in
@@ -237,7 +245,8 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?stats ?on_coalesce
     if degree.(u) >= k && kind.(u) = Freeze_wl then begin
       kind.(u) <- Spill_wl;
       incr n_spill
-    end
+    end;
+    if kind.(u) = Spill_wl then Spill_election.push election u
   in
   let coalesce_step m =
     let md, ms = moves.(m) in
@@ -310,26 +319,10 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?stats ?on_coalesce
     select_stack := i :: !select_stack;
     List.iter (fun t -> if in_graph t then decrement_degree t) adj.(i)
   in
-  (* exactly Coloring's spill election: minimum cost/degree, ties lowest
-     id, infinite-cost candidates only when nothing else remains — then
-     pushed optimistically (select decides whether it really spills) *)
+  (* Coloring's spill election, optimistically pushed: select decides
+     whether the elected node really spills *)
   let select_spill () =
-    let best = ref (-1) and best_ratio = ref infinity in
-    let best_infinite = ref (-1) in
-    for i = np to n - 1 do
-      if kind.(i) = Spill_wl then
-        if costs.(i) = infinity then begin
-          if !best_infinite < 0 then best_infinite := i
-        end
-        else begin
-          let ratio = costs.(i) /. float_of_int (max degree.(i) 1) in
-          if ratio < !best_ratio then begin
-            best_ratio := ratio;
-            best := i
-          end
-        end
-    done;
-    let m = if !best >= 0 then !best else !best_infinite in
+    let m = Spill_election.elect election in
     decr n_spill;
     push_simplify m;
     freeze_moves m

@@ -16,8 +16,10 @@
     insignificant) proves the merge safe, so — unlike the aggressive
     pre-pass — coalescing can never make a colorable graph uncolorable.
 
-    Spill elections reuse {!Coloring.simplify}'s exact rule (minimum
-    cost/degree, ties by lowest id, infinite cost last) and are
+    Spill elections go through {!Spill_election}, the rule
+    {!Coloring.simplify} uses (minimum cost/degree, ties by lowest id,
+    infinite cost last); a combine pushes its survivor, whose degree and
+    cost it raised. Elections are
     optimistic: elected nodes are pushed and the select phase decides,
     so spill decisions match the Briggs heuristic's character. The
     underlying {!Igraph} is never mutated; combine-time edges live in a
@@ -57,7 +59,8 @@ type result = {
     coalescing. [moves] are (dst, src) node pairs — deduplicated,
     spill-temp-free, never precolored (raises [Invalid_argument]
     otherwise; physical registers reach this allocator's graphs only as
-    call clobbers, not copies). [costs] follows {!Coloring.simplify}.
+    call clobbers, not copies). [costs] follows {!Coloring.simplify}:
+    a negative or NaN cost raises [Invalid_argument].
 
     [on_coalesce u v], when given, is called at each conservative merge
     and must return the endpoint that survives; the pipeline uses it to

@@ -190,8 +190,8 @@ module Color_pass = struct
     let k = Machine.regs st.machine cls in
     (* a context without a build pool of its own (batch drivers pin
        jobs:1 per pipeline) may still have a borrowed wide pool for
-       the Simplify/Select engines — their node-count floors keep
-       small graphs sequential, so lending costs nothing *)
+       the Select engine — its node-count floor keeps small graphs
+       sequential, so lending costs nothing *)
     let pool =
       match Context.pool st.ctx with
       | Some _ as p -> p

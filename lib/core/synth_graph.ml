@@ -10,7 +10,6 @@ type t = {
 let n_nodes t = t.n_nodes
 let n_precolored t = t.n_precolored
 let n_edges t = Array.length t.adj / 2
-let degree t n = t.row_start.(n + 1) - t.row_start.(n)
 
 let iter_neighbors t n ~f =
   for i = t.row_start.(n) to t.row_start.(n + 1) - 1 do

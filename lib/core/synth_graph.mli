@@ -18,7 +18,6 @@ type t
 val n_nodes : t -> int
 val n_precolored : t -> int
 val n_edges : t -> int
-val degree : t -> int -> int
 val iter_neighbors : t -> int -> f:(int -> unit) -> unit
 
 (** The engine's read-only adjacency interface over this graph. *)

@@ -1,101 +1,99 @@
-type cell = {
-  node : int;
-  mutable deg : int;
-  mutable prev : cell option;
-  mutable next : cell option;
-}
+(* Doubly-linked buckets threaded through dense int arrays: [head.(d)] is
+   the first node of degree [d], [next]/[prev] link nodes within a bucket
+   (-1 ends a list), and [deg.(v)] is [v]'s degree, or -1 when [v] is
+   absent. The per-node arrays grow on demand to the largest id added. *)
 
 type t = {
-  mutable buckets : cell option array;
-  cells : (int, cell) Hashtbl.t;
+  mutable head : int array;
+  mutable next : int array;
+  mutable prev : int array;
+  mutable deg : int array;
   mutable population : int;
 }
 
 let create ~max_degree =
   if max_degree < 0 then invalid_arg "Degree_buckets.create";
-  { buckets = Array.make (max_degree + 1) None;
-    cells = Hashtbl.create 64;
+  { head = Array.make (max_degree + 1) (-1);
+    next = [||];
+    prev = [||];
+    deg = [||];
     population = 0 }
 
 (* Clear-and-reuse: empty the structure and retarget it to degrees
    [0 .. max_degree], growing the bucket array only when needed. *)
 let reset t ~max_degree =
   if max_degree < 0 then invalid_arg "Degree_buckets.reset";
-  if Array.length t.buckets < max_degree + 1 then
-    t.buckets <- Array.make (max_degree + 1) None
-  else Array.fill t.buckets 0 (Array.length t.buckets) None;
-  Hashtbl.reset t.cells;
+  if Array.length t.head < max_degree + 1 then
+    t.head <- Array.make (max_degree + 1) (-1)
+  else Array.fill t.head 0 (Array.length t.head) (-1);
+  Array.fill t.deg 0 (Array.length t.deg) (-1);
   t.population <- 0
 
-let unlink t c =
-  (match c.prev with
-   | Some p -> p.next <- c.next
-   | None -> t.buckets.(c.deg) <- c.next);
-  (match c.next with
-   | Some n -> n.prev <- c.prev
-   | None -> ());
-  c.prev <- None;
-  c.next <- None
+let mem t node = node >= 0 && node < Array.length t.deg && t.deg.(node) >= 0
 
-let link t c deg =
-  c.deg <- deg;
-  c.prev <- None;
-  c.next <- t.buckets.(deg);
-  (match t.buckets.(deg) with
-   | Some head -> head.prev <- Some c
-   | None -> ());
-  t.buckets.(deg) <- Some c
+let grow t node =
+  let cap = max (node + 1) (2 * Array.length t.deg) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.next <- extend t.next (-1);
+  t.prev <- extend t.prev (-1);
+  t.deg <- extend t.deg (-1)
+
+let unlink t node =
+  let p = t.prev.(node) and n = t.next.(node) in
+  if p >= 0 then t.next.(p) <- n else t.head.(t.deg.(node)) <- n;
+  if n >= 0 then t.prev.(n) <- p
+
+(* push on the front of bucket [d]: buckets pop LIFO *)
+let link t node d =
+  let h = t.head.(d) in
+  t.deg.(node) <- d;
+  t.prev.(node) <- -1;
+  t.next.(node) <- h;
+  if h >= 0 then t.prev.(h) <- node;
+  t.head.(d) <- node
 
 let add t node degree =
-  if degree < 0 || degree >= Array.length t.buckets then
+  if degree < 0 || degree >= Array.length t.head then
     invalid_arg "Degree_buckets.add: degree out of range";
-  if Hashtbl.mem t.cells node then
-    invalid_arg "Degree_buckets.add: node already present";
-  let c = { node; deg = degree; prev = None; next = None } in
-  Hashtbl.replace t.cells node c;
-  link t c degree;
+  if node < 0 then invalid_arg "Degree_buckets.add: negative node";
+  if mem t node then invalid_arg "Degree_buckets.add: node already present";
+  if node >= Array.length t.deg then grow t node;
+  link t node degree;
   t.population <- t.population + 1
 
 let remove t node =
-  let c = Hashtbl.find t.cells node in
-  unlink t c;
-  Hashtbl.remove t.cells node;
+  if not (mem t node) then raise Not_found;
+  unlink t node;
+  t.deg.(node) <- -1;
   t.population <- t.population - 1
 
-let degree t node = (Hashtbl.find t.cells node).deg
-
-let mem t node = Hashtbl.mem t.cells node
+let degree t node = if mem t node then t.deg.(node) else raise Not_found
 
 let decrease t node =
-  let c = Hashtbl.find t.cells node in
-  if c.deg = 0 then invalid_arg "Degree_buckets.decrease: degree is 0";
-  unlink t c;
-  link t c (c.deg - 1)
+  let d = degree t node in
+  if d = 0 then invalid_arg "Degree_buckets.decrease: degree is 0";
+  unlink t node;
+  link t node (d - 1)
 
 let pop_min t ~hint =
   if t.population = 0 then None
   else begin
-    let start = if hint < 0 then 0 else hint in
-    let limit = Array.length t.buckets in
+    let limit = Array.length t.head in
+    (* A positive hint can overshoot only if every node below it is gone;
+       population > 0 guarantees a restart from 0 finds something. *)
     let rec search i =
-      if i >= limit then
-        (* A positive hint can overshoot only if every node below it is gone;
-           population > 0 guarantees a restart from 0 finds something. *)
-        search_from_zero 0
-      else
-        match t.buckets.(i) with
-        | Some c -> c
-        | None -> search (i + 1)
-    and search_from_zero i =
-      match t.buckets.(i) with
-      | Some c -> c
-      | None -> search_from_zero (i + 1)
+      if i >= limit then search 0
+      else if t.head.(i) >= 0 then i
+      else search (i + 1)
     in
-    let c = if start = 0 then search_from_zero 0 else search start in
-    unlink t c;
-    Hashtbl.remove t.cells c.node;
-    t.population <- t.population - 1;
-    Some (c.node, c.deg)
+    let d = search (max hint 0) in
+    let node = t.head.(d) in
+    remove t node;
+    Some (node, d)
   end
 
 let is_empty t = t.population = 0

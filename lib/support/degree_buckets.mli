@@ -9,8 +9,11 @@
 type t
 
 (** [create ~max_degree] builds empty buckets able to hold nodes of degree
-    [0 .. max_degree]. Nodes are identified by dense non-negative ints;
-    node ids may be arbitrary (a hash table maps them to cells). *)
+    [0 .. max_degree]. Nodes are identified by non-negative ints; the
+    links live in int arrays indexed by node, grown on demand to the
+    largest id added, so ids should be dense for the memory to stay
+    proportional to the node count. Within a bucket, nodes pop
+    last-in first-out. *)
 val create : max_degree:int -> t
 
 (** [reset t ~max_degree] empties the structure and retargets it to degrees
@@ -19,21 +22,23 @@ val create : max_degree:int -> t
 val reset : t -> max_degree:int -> unit
 
 (** [add t node degree] inserts [node] with the given current degree.
-    Raises [Invalid_argument] if [node] is already present or the degree is
-    out of range. *)
+    Raises [Invalid_argument] if [node] is negative or already present, or
+    the degree is out of range. *)
 val add : t -> int -> int -> unit
 
 (** [remove t node] unlinks [node] from its bucket.
     Raises [Not_found] if absent. *)
 val remove : t -> int -> unit
 
-(** [degree t node] is the current degree recorded for [node]. *)
+(** [degree t node] is the current degree recorded for [node].
+    Raises [Not_found] if absent. *)
 val degree : t -> int -> int
 
 val mem : t -> int -> bool
 
 (** [decrease t node] moves [node] down one bucket (its degree fell by one
-    because a neighbor was removed). Raises [Invalid_argument] at degree 0. *)
+    because a neighbor was removed). Raises [Invalid_argument] at degree 0
+    and [Not_found] if absent. *)
 val decrease : t -> int -> unit
 
 (** [pop_min t ~hint] removes and returns a node of minimum degree, searching

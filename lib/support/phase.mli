@@ -14,7 +14,10 @@ type t =
   | Coalesce  (** the copy-coalescing scan of a fixpoint round *)
   | Scan  (** a per-block edge scan (domain-tagged when pooled) *)
   | Simplify  (** the paper's Simplify *)
-  | Par_simplify  (** a speculative parallel peeling run inside Simplify *)
+  | Par_simplify
+      (** no producer: the speculative Simplify engine that emitted it is
+          gone. Kept until the next benchmark change, because the end-to-end
+          benchmark derives its [span.*] metrics from {!all}. *)
   | Color  (** the paper's Select *)
   | Spill_elect  (** expanding spill decisions into web groups *)
   | Spill_insert  (** spill-code insertion (the paper's Spill) *)

@@ -15,9 +15,9 @@ Checks, in order:
      Under `--heuristic irc` the worklist engine's `coalesce` span
      subsumes `simplify` (simplification and coalescing interleave in
      one loop), so either name satisfies that slot (spill phases appear
-     only when something spills in either shape; `par-color` /
-     `par-simplify` spans appear only when the parallel engines clear
-     their node-count floors and engage);
+     only when something spills in either shape; `par-color` spans
+     appear only when the parallel Select engine clears its node-count
+     floor and engages);
   4. when more than one domain participated, at least one pooled `scan`
      or stolen `task` span is tagged with a non-main tid;
   5. every counter named by a --require-counter flag has at least one

@@ -1,6 +1,7 @@
-(* Tests for the interference graph and the three coloring heuristics,
-   including the paper's Figure 2 and Figure 3 examples and the §2.3
-   subset theorem. *)
+(* Tests for the interference graph and the coloring heuristics,
+   including the paper's Figure 2 and Figure 3 examples, the §2.3
+   subset theorem, and the spill election against the linear scan it
+   replaced. *)
 
 open Ra_core
 
@@ -292,6 +293,233 @@ let prop_par_select_is_drop_in =
               = Heuristic.run ~pool ~verify:true h g ~k ~costs)
             [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula ]))
 
+(* ---- Spill election: the heap against the linear scan it replaced ---- *)
+
+(* The linear-scan Simplify the heap replaced, kept as the reference:
+   every election rescans all remaining nodes for the minimum
+   cost/degree ratio, ties to the lowest id, infinite costs last. *)
+let reference_simplify (g : Igraph.t) ~k ~(costs : float array) ~policy =
+  let n = Igraph.n_nodes g in
+  let removed = Array.make n false in
+  let deg = Array.init n (fun i -> Igraph.degree g i) in
+  let low = ref [] in
+  let in_low = Array.make n false in
+  let remaining = ref 0 in
+  for i = n - 1 downto Igraph.n_precolored g do
+    incr remaining;
+    if deg.(i) < k then begin
+      low := i :: !low;
+      in_low.(i) <- true
+    end
+  done;
+  let rev_order = ref [] in
+  let rev_marked = ref [] in
+  let remove node =
+    removed.(node) <- true;
+    decr remaining;
+    Igraph.iter_neighbors g node ~f:(fun nb ->
+      if (not removed.(nb)) && not (Igraph.is_precolored g nb) then begin
+        deg.(nb) <- deg.(nb) - 1;
+        if deg.(nb) < k && not in_low.(nb) then begin
+          low := nb :: !low;
+          in_low.(nb) <- true
+        end
+      end)
+  in
+  let pick_spill_candidate () =
+    let best = ref (-1) in
+    let best_ratio = ref infinity in
+    let best_infinite = ref (-1) in
+    for i = Igraph.n_precolored g to n - 1 do
+      if not removed.(i) then
+        if costs.(i) = infinity then begin
+          if !best_infinite < 0 then best_infinite := i
+        end
+        else begin
+          let ratio = costs.(i) /. float_of_int (max deg.(i) 1) in
+          if ratio < !best_ratio then begin
+            best_ratio := ratio;
+            best := i
+          end
+        end
+    done;
+    if !best >= 0 then !best
+    else
+      match policy with
+      | Coloring.Spill_during_simplify ->
+        failwith "Coloring.simplify: unspillable nodes form an uncolorable core"
+      | Coloring.Defer_to_select -> !best_infinite
+  in
+  let rec loop () =
+    match !low with
+    | node :: rest ->
+      low := rest;
+      in_low.(node) <- false;
+      if not removed.(node) then begin
+        rev_order := node :: !rev_order;
+        remove node
+      end;
+      loop ()
+    | [] ->
+      if !remaining > 0 then begin
+        let node = pick_spill_candidate () in
+        (match policy with
+         | Coloring.Spill_during_simplify -> rev_marked := node :: !rev_marked
+         | Coloring.Defer_to_select -> rev_order := node :: !rev_order);
+        remove node;
+        loop ()
+      end
+  in
+  loop ();
+  { Coloring.order = List.rev !rev_order; marked = List.rev !rev_marked }
+
+let policies =
+  [ ("chaitin", Coloring.Spill_during_simplify);
+    ("briggs", Coloring.Defer_to_select) ]
+
+(* both engines' answer, with the uncolorable-core failure as a value *)
+let simplify_outcome f g ~k ~costs ~policy =
+  match f g ~k ~costs ~policy with
+  | { Coloring.order; marked } -> Ok (order, marked)
+  | exception Failure m -> Error m
+
+let same_as_reference g ~k ~costs =
+  List.for_all
+    (fun (_, policy) ->
+      simplify_outcome Coloring.simplify g ~k ~costs ~policy
+      = simplify_outcome reference_simplify g ~k ~costs ~policy)
+    policies
+
+(* tie-heavy costs: a handful of values, zero and infinity among them *)
+let tie_costs rng n =
+  let pool = [| 0.; 1.; 2.; 3.; 6.; infinity |] in
+  Array.init n (fun _ -> pool.(Ra_support.Lcg.int rng (Array.length pool)))
+
+let prop_simplify_matches_reference =
+  QCheck.Test.make
+    ~name:"heap-elected simplify equals the scan reference (order, marked)"
+    ~count:500
+    QCheck.(
+      pair
+        (triple (int_bound 1000000) (int_range 2 60) (int_range 5 70))
+        (pair (int_range 0 4) (int_range 2 8)))
+    (fun ((seed, n, density), (pre, k)) ->
+      let pre = min pre (n - 1) in
+      let rng = Ra_support.Lcg.create ~seed in
+      let g = Igraph.create ~n_nodes:n ~n_precolored:pre in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          if Ra_support.Lcg.int rng 100 < density then Igraph.add_edge g a b
+        done
+      done;
+      same_as_reference g ~k ~costs:(tie_costs rng n))
+
+let synthetic_graphs_match_reference () =
+  (* graphs big enough for thousands of elections, with a sprinkle of
+     unspillable nodes so the infinite-cost fallback is walked too *)
+  List.iter
+    (fun (name, gen) ->
+      let g =
+        Synth_graph.to_igraph
+          (gen ~seed:42 ~n_nodes:5000 ~n_precolored:32 ~avg_degree:8)
+      in
+      let costs =
+        Array.init (Igraph.n_nodes g) (fun i ->
+          if i mod 97 = 0 then infinity else float_of_int (1 + (i * 7 mod 13)))
+      in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d identical" name k)
+            true
+            (same_as_reference g ~k ~costs))
+        [ 4; 8; 16 ])
+    [ ("power_law", Synth_graph.power_law);
+      ("geometric", Synth_graph.geometric) ]
+
+(* The election module against a scan, under the caller contract: ratios
+   rise freely (degree drops, cost rises), and a node is pushed whenever
+   its degree rises or it becomes a candidate. *)
+let prop_election_matches_scan =
+  QCheck.Test.make ~name:"spill election = scan under random updates"
+    ~count:300
+    QCheck.(pair (int_bound 1000000) (int_range 1 40))
+    (fun (seed, n) ->
+      let rng = Ra_support.Lcg.create ~seed in
+      let first = Ra_support.Lcg.int rng (min n 3) in
+      let costs = tie_costs rng n in
+      let degree = Array.init n (fun _ -> Ra_support.Lcg.int rng 8) in
+      let cand = Array.init n (fun i -> i >= first) in
+      let e =
+        Spill_election.create ~costs ~degree ~first ~candidate:(fun i ->
+          cand.(i))
+      in
+      let ratio i = costs.(i) /. float_of_int (max degree.(i) 1) in
+      let scan () =
+        let best = ref (-1) in
+        for i = first to n - 1 do
+          if cand.(i) && (!best < 0 || ratio i < ratio !best) then best := i
+        done;
+        !best
+      in
+      let ok = ref true in
+      for _ = 1 to 6 * n do
+        let i = first + Ra_support.Lcg.int rng (n - first) in
+        match Ra_support.Lcg.int rng 6 with
+        | 0 -> if degree.(i) > 0 then degree.(i) <- degree.(i) - 1
+        | 1 ->
+          degree.(i) <- degree.(i) + 1 + Ra_support.Lcg.int rng 3;
+          Spill_election.push e i
+        | 2 -> costs.(i) <- costs.(i) +. float_of_int (Ra_support.Lcg.int rng 3)
+        | 3 ->
+          if not cand.(i) then begin
+            cand.(i) <- true;
+            Spill_election.push e i
+          end
+        | _ ->
+          let want = scan () in
+          let got = Spill_election.elect e in
+          if got <> want then ok := false;
+          if got >= 0 then cand.(got) <- false
+      done;
+      !ok)
+
+let irc_combine_reenters_election () =
+  (* k = 2, every node starts on the spill worklist. Elections take 1
+     and then 3 (ratio 0, lowest ids); 3's removal re-enables move
+     (0, 4), and George's test merges 4 into 0. The merge lifts 0 back
+     onto the spill worklist at degree 3 and cost 1 + 0, a ratio of 1/3
+     that ties node 2 and wins on id. An election still holding 0 at its
+     pre-merge ratio 1/2 would take 2 instead, so combine must push its
+     survivor. *)
+  let g =
+    graph_of_edges 7
+      [ (0, 2); (0, 3); (1, 2); (1, 4); (2, 3); (2, 4); (2, 5); (2, 6);
+        (3, 5); (4, 5); (4, 6) ]
+  in
+  let costs = [| 1.; 0.; 1.; 0.; 0.; 5.; 2. |] in
+  let r = Irc.run g ~k:2 ~costs ~moves:[| (0, 4); (3, 4) |] in
+  Alcotest.(check int) "4 merged into 0" 0 r.Irc.node_alias.(4);
+  Alcotest.(check (list int)) "spills" [ 0; 3 ] r.Irc.uncolored
+
+let bad_costs_rejected () =
+  let g = graph_of_edges 3 [ (0, 1); (1, 2) ] in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a bad cost" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun bad ->
+      let costs = [| 1.; bad; 1. |] in
+      List.iter
+        (fun (pname, policy) ->
+          rejects ("simplify/" ^ pname) (fun () ->
+            ignore (Coloring.simplify g ~k:1 ~costs ~policy)))
+        policies;
+      rejects "irc" (fun () -> ignore (Irc.run g ~k:1 ~costs ~moves:[||])))
+    [ -1.; Float.nan; neg_infinity ]
+
 let suites =
   [ ( "core.igraph",
       [ Alcotest.test_case "basics" `Quick igraph_basics;
@@ -321,4 +549,13 @@ let suites =
         qtest prop_colorings_always_proper;
         qtest prop_matula_colors_low_degeneracy;
         qtest prop_select_respects_order_contract;
-        qtest prop_par_select_is_drop_in ] ) ]
+        qtest prop_par_select_is_drop_in ] );
+    ( "core.spill_election",
+      [ qtest prop_simplify_matches_reference;
+        Alcotest.test_case "synthetic-graph simplify equals the scan" `Quick
+          synthetic_graphs_match_reference;
+        qtest prop_election_matches_scan;
+        Alcotest.test_case "irc combine re-enters the election" `Quick
+          irc_combine_reenters_election;
+        Alcotest.test_case "negative or NaN costs rejected" `Quick
+          bad_costs_rejected ] ) ]

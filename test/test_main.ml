@@ -22,5 +22,4 @@ let () =
     @ Test_vm.suites
     @ Test_programs.suites
     @ Test_synth.suites
-    @ Test_par_simplify.suites
     @ Test_shapes.suites)

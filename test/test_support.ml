@@ -347,6 +347,81 @@ let db_prop_pops_sorted_when_static =
       let popped = drain 0 [] in
       popped = List.sort compare degrees)
 
+(* A list model of the buckets: each entry carries the tick at which it
+   was last linked, so within one degree the latest link pops first. *)
+let db_prop_matches_list_model =
+  QCheck.Test.make
+    ~name:"degree_buckets pop order (with hints) matches a list model"
+    ~count:300
+    QCheck.(pair (int_bound 1000000) (int_range 1 120))
+    (fun (seed, steps) ->
+      let rng = Lcg.create ~seed in
+      let max_degree = 1 + Lcg.int rng 12 in
+      let b = Degree_buckets.create ~max_degree in
+      let model = ref [] (* (node, degree, tick) *) and tick = ref 0 in
+      let link node d =
+        incr tick;
+        model :=
+          (node, d, !tick) :: List.filter (fun (v, _, _) -> v <> node) !model
+      in
+      let model_pop hint =
+        let degs = List.map (fun (_, d, _) -> d) !model in
+        let at_or_above = List.filter (fun d -> d >= hint) degs in
+        let d =
+          List.fold_left min max_int
+            (if at_or_above <> [] then at_or_above else degs)
+        in
+        let node, _, _ =
+          List.fold_left
+            (fun ((_, _, bt) as best) ((_, e, t) as c) ->
+              if e = d && t > bt then c else best)
+            (-1, -1, -1) !model
+        in
+        model := List.filter (fun (v, _, _) -> v <> node) !model;
+        (node, d)
+      in
+      let random_member () =
+        match !model with
+        | [] -> None
+        | l ->
+          let v, _, _ = List.nth l (Lcg.int rng (List.length l)) in
+          Some v
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        (match Lcg.int rng 5 with
+         | 0 | 1 ->
+           (* sparse ids exercise on-demand growth *)
+           let node = Lcg.int rng 300 in
+           if not (Degree_buckets.mem b node) then begin
+             let d = Lcg.int rng (max_degree + 1) in
+             Degree_buckets.add b node d;
+             link node d
+           end
+         | 2 -> (
+           match random_member () with
+           | Some v ->
+             let _, d, _ = List.find (fun (u, _, _) -> u = v) !model in
+             if d > 0 then begin
+               Degree_buckets.decrease b v;
+               link v (d - 1)
+             end
+           | None -> ())
+         | 3 -> (
+           match random_member () with
+           | Some v ->
+             Degree_buckets.remove b v;
+             model := List.filter (fun (u, _, _) -> u <> v) !model
+           | None -> ())
+         | _ ->
+           let hint = Lcg.int rng (max_degree + 4) - 2 in
+           let got = Degree_buckets.pop_min b ~hint in
+           let want = if !model = [] then None else Some (model_pop hint) in
+           if got <> want then ok := false);
+        if Degree_buckets.cardinal b <> List.length !model then ok := false
+      done;
+      !ok)
+
 (* ---- Bitset ---- *)
 
 let bs_basics () =
@@ -558,7 +633,8 @@ let suites =
         Alcotest.test_case "remove middle" `Quick db_remove_middle;
         Alcotest.test_case "duplicate add" `Quick db_duplicate_add;
         Alcotest.test_case "reset reuses" `Quick db_reset_reuses;
-        qtest db_prop_pops_sorted_when_static ] );
+        qtest db_prop_pops_sorted_when_static;
+        qtest db_prop_matches_list_model ] );
     ( "support.bitset",
       [ Alcotest.test_case "basics" `Quick bs_basics;
         Alcotest.test_case "set ops" `Quick bs_set_ops;

@@ -172,6 +172,57 @@ let engine_through_heuristics () =
               [ 4; 8 ])
           [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula ]))
 
+let strip_times (p : Allocator.pass_record) =
+  ( p.Allocator.pass_index,
+    p.Allocator.webs_initial,
+    p.Allocator.webs_coalesced,
+    p.Allocator.nodes_int,
+    p.Allocator.nodes_flt,
+    p.Allocator.edges_int,
+    p.Allocator.edges_flt,
+    p.Allocator.spilled,
+    p.Allocator.spill_cost )
+
+let fingerprint (r : Allocator.result) =
+  ( List.map strip_times r.Allocator.passes,
+    r.Allocator.live_ranges,
+    r.Allocator.total_spilled,
+    r.Allocator.total_spill_cost,
+    r.Allocator.moves_removed,
+    Ra_ir.Proc.to_string r.Allocator.proc )
+
+let suite_allocations_unchanged () =
+  (* real routines through the full allocator, the engine forced on at
+     width 4, with and without the edge cache: every fingerprint must
+     match the sequential allocation *)
+  let machine = Machine.rt_pc in
+  Par_color.set_min_nodes (Some 1);
+  Fun.protect ~finally:(fun () -> Par_color.set_min_nodes None) (fun () ->
+    List.iter
+      (fun (prog : Ra_programs.Suite.program) ->
+        List.iter
+          (fun (p : Ra_ir.Proc.t) ->
+            let base =
+              Allocator.allocate
+                ~context:(Context.create ~jobs:1 machine)
+                machine Heuristic.Briggs p
+            in
+            List.iter
+              (fun edge_cache ->
+                let par =
+                  Allocator.allocate
+                    ~context:(Context.create ~edge_cache ~jobs:4 machine)
+                    machine Heuristic.Briggs p
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s/%s cache=%b identical"
+                     prog.Ra_programs.Suite.pname p.Ra_ir.Proc.name edge_cache)
+                  true
+                  (fingerprint par = fingerprint base))
+              [ true; false ])
+          (Ra_programs.Suite.compile prog))
+      [ Ra_programs.Suite.quicksort; Ra_programs.Suite.find "EULER" ])
+
 let footprint_overlap_rejected () =
   (* the engine's worker tasks declare disjoint write footprints; the
      seeded-overlap hook collapses them onto one token, and the
@@ -215,5 +266,7 @@ let suites =
           (engine_identical_at_width 8);
         Alcotest.test_case "heuristic outcomes unchanged" `Quick
           engine_through_heuristics;
+        Alcotest.test_case "suite allocations unchanged" `Slow
+          suite_allocations_unchanged;
         Alcotest.test_case "footprint overlap rejected" `Quick
           footprint_overlap_rejected ] ) ]
