@@ -20,9 +20,8 @@ let default_pool = Batch.default_pool
 (* Allocate every routine of a program with the comparison heuristics
    (Chaitin, Briggs and the iterated-coalescing worklist). Without an
    explicit context this runs as the heuristic comparison matrix
-   ({!Batch.allocate_matrix}) — under the default DAG scheduling each
-   routine's first-pass graph build is shared by the pipelines; under
-   RA_SCHED=flat it degenerates to pool batches. An explicit [context]
+   ({!Batch.allocate_matrix}): a task DAG in which each routine's
+   first-pass graph build is shared by the pipelines. An explicit [context]
    (or [pool]) keeps the historical warm-context batch path. Results are
    identical every way. *)
 let allocate_program ?(machine = Machine.rt_pc) ?context ?pool

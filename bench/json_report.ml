@@ -14,9 +14,8 @@
    records the cached run's coalescing-round count, edge-cache hit rate
    and fraction of blocks rescanned. It also times the FULL benchmark
    suite (every routine, every heuristic, regardless of picks) end to
-   end three ways — sequentially on one warm context, procedure-per-task
-   on the flat pool (RA_SCHED=flat), and as the footprint-ordered task
-   DAG on the work-stealing scheduler (RA_SCHED=dag, the default) — and
+   end two ways — sequentially on one warm context, and as the
+   footprint-ordered task DAG on the work-stealing scheduler — and
    records the DAG run's scheduler counters (tasks, steals, derived
    edges, queue high-water mark, per-domain utilization). The DAG wall
    must beat the sequential wall — a slower scheduler is a regression
@@ -300,10 +299,9 @@ let run ~picks () =
   (* suite-level wall-clock over the FULL suite — every routine of every
      program, however narrow the picks above were (a four-routine wall
      says nothing about scheduling) — end to end, every heuristic:
-     sequentially on one warm context, procedure-per-task on the flat
-     pool, and as the footprint-ordered task DAG. Min of [wall_reps]
-     walls per mode; the DAG rep that sets the minimum keeps its
-     scheduler counters. The first sequential and DAG reps must agree
+     sequentially on one warm context, and as the footprint-ordered
+     task DAG. Min of [wall_reps] walls per mode; the DAG rep that sets
+     the minimum keeps its scheduler counters. The first sequential and DAG reps must agree
      on every fingerprint (bit-identical outcomes), and the DAG wall
      must beat the sequential one — that gate is the point of the
      scheduler. *)
@@ -361,12 +359,6 @@ let run ~picks () =
     if s < !seq_s then seq_s := s
   done;
   let seq_s = !seq_s in
-  let flat_s =
-    min_wall (fun () ->
-      ignore
-        (Batch.allocate_matrix ~sched:Batch.Flat machine heuristics
-           suite_procs))
-  in
   let sched = Ra_support.Scheduler.create ~jobs:hw_jobs in
   let dag_s = ref infinity in
   let dag_stats = ref (Ra_support.Scheduler.stats sched) in
@@ -374,8 +366,8 @@ let run ~picks () =
     Ra_support.Scheduler.reset_stats sched;
     let res, s =
       wall (fun () ->
-        Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:sched machine
-          heuristics suite_procs)
+        Batch.allocate_matrix ~scheduler:sched machine heuristics
+          suite_procs)
     in
     if r = 1 && List.map (List.map fingerprint) res <> !seq_fps then
       divergences := "suite/dag" :: !divergences;
@@ -472,37 +464,6 @@ let run ~picks () =
          move_heavy)
   in
   let moves_gate_ok = 2 * move_wins >= List.length move_heavy in
-  (* DAG engagement: the lent wide_pool is only worth its plumbing if a
-     DAG suite run actually enters the speculative Select engine. Suite
-     graphs sit under the engine's production node floor (it exists to
-     keep small routines sequential), so the floor drops to 1 for this
-     one run — the engine's structural chunk minimum still decides per
-     graph — and the run's own telemetry sink is read back for the
-     engagement counter. The outcomes must still fingerprint
-     identically to the sequential suite. *)
-  let eng_tele = Ra_support.Telemetry.create () in
-  (* sized to [jobs], not [hw_jobs]: this asserts the engagement
-     plumbing, not a speedup, and must exercise it on 1-core runners *)
-  let eng_sched = Ra_support.Scheduler.create ~jobs in
-  let eng_res =
-    Fun.protect
-      ~finally:(fun () ->
-        Par_color.set_min_nodes None;
-        Ra_support.Scheduler.shutdown eng_sched)
-      (fun () ->
-        Par_color.set_min_nodes (Some 1);
-        Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:eng_sched
-          ~tele:eng_tele machine heuristics suite_procs)
-  in
-  let eng_color =
-    Ra_support.Telemetry.counter_total eng_tele "par_color.engaged"
-  in
-  let eng_identical = List.map (List.map fingerprint) eng_res = !seq_fps in
-  if not eng_identical then
-    divergences := "suite/dag-engagement" :: !divergences;
-  if eng_color = 0 then
-    divergences :=
-      "dag engagement: par_color never engaged on the suite" :: !divergences;
   (* telemetry overhead: the routine set end to end with the sink
      disabled (the default) vs buffering every span and counter.
      Min-of-reps on both sides; the disabled path must not be slower
@@ -551,8 +512,7 @@ let run ~picks () =
       let _, diags =
         Ra_check.Race.with_check (fun () ->
           ignore
-            (Batch.allocate_matrix ~sched:Batch.Dag machine heuristics
-               race_procs))
+            (Batch.allocate_matrix machine heuristics race_procs))
       in
       race_errors := List.length (Ra_check.Diagnostic.errors diags))
   in
@@ -593,9 +553,6 @@ let run ~picks () =
   let aca_hits = Ra_analysis.Analysis_cache.hits aca in
   let aca_misses = Ra_analysis.Analysis_cache.misses aca in
   let aca_lookups = aca_hits + aca_misses in
-  (* the speculative-coloring section: synthetic graphs, sequential
-     baseline vs engine at widths 1/2/4/8, with its own gates *)
-  let par_color_json, par_color_fails = Synth_bench.section () in
   let utilization =
     String.concat ", "
       (Array.to_list
@@ -608,7 +565,7 @@ let run ~picks () =
     (Printf.sprintf
        "\n  ],\n  \"jobs\": %d,\n  \"suite\": {\"routines\": %d, \
         \"excluded\": [%s], \"sequential_wall_s\": %.6f, \
-        \"flat_wall_s\": %.6f, \"dag_wall_s\": %.6f, \
+        \"dag_wall_s\": %.6f, \
         \"parallel_wall_s\": %.6f,\n    \
         \"sched\": {\"jobs\": %d, \"tasks\": %d, \"steals\": %d, \
         \"edges\": %d, \"max_queue_depth\": %d, \
@@ -628,9 +585,7 @@ let run ~picks () =
         \"hit_rate\": %s},\n  \
         \"analysis_cache\": {\"hits\": %d, \"misses\": %d, \
         \"hit_rate\": %s},\n  \
-        \"dag_engagement\": {\"par_color_engaged\": %d, \
-        \"identical\": %b},\n  \
-        \"par_color\": %s,\n  \"divergences\": [%s]\n}\n"
+        \"divergences\": [%s]\n}\n"
        jobs
        (List.length suite_procs)
        (String.concat ", "
@@ -641,7 +596,7 @@ let run ~picks () =
                   \"reason\": \"%s\"}"
                  routine heuristic (json_escape reason))
              probe_failures))
-       seq_s flat_s dag_s dag_s hw_jobs dag_stats.Ra_support.Scheduler.tasks
+       seq_s dag_s dag_s hw_jobs dag_stats.Ra_support.Scheduler.tasks
        dag_stats.Ra_support.Scheduler.steals
        dag_stats.Ra_support.Scheduler.edges
        dag_stats.Ra_support.Scheduler.max_queue_depth utilization
@@ -668,7 +623,6 @@ let run ~picks () =
        aca_hits aca_misses
        (if aca_lookups = 0 then "null"
         else Printf.sprintf "%.4f" (float aca_hits /. float aca_lookups))
-       eng_color eng_identical par_color_json
        (String.concat ", "
           (List.rev_map (Printf.sprintf "\"%s\"") !divergences)));
   let path = "BENCH_alloc.json" in
@@ -677,9 +631,9 @@ let run ~picks () =
   close_out oc;
   Printf.printf
     "wrote %s (%d benchmark entries, %d jobs, full suite %.3fs seq / %.3fs \
-     flat / %.3fs dag, telemetry off %.3fs / on %.3fs, cache hit rate %s, %d \
+     dag, telemetry off %.3fs / on %.3fs, cache hit rate %s, %d \
      divergence(s))\n"
-    path !entries jobs seq_s flat_s dag_s tele_off_s tele_on_s
+    path !entries jobs seq_s dag_s tele_off_s tele_on_s
     (if total_scans = 0 then "n/a"
      else
        Printf.sprintf "%.1f%%"
@@ -722,12 +676,5 @@ let run ~picks () =
       "irc move gate: matched aggressive coalescing on only %d of %d \
        move-heavy routines\n"
       move_wins (List.length move_heavy);
-    exit 1
-  end;
-  (* the speculative engine's gates: bit-identical everywhere, width 1
-     never regresses, and width >= 2 beats the baseline outright on the
-     big synthetic graphs *)
-  if par_color_fails <> [] then begin
-    List.iter (fun f -> Printf.eprintf "%s\n" f) par_color_fails;
     exit 1
   end

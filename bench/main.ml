@@ -46,8 +46,7 @@ let available =
     "fig6", Fig6.run;
     "fig7", Fig7.run;
     "ablation", Ablation.run;
-    "micro", Micro.run;
-    "synth", Synth_bench.run ]
+    "micro", Micro.run ]
 
 let () =
   let args =

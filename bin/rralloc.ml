@@ -5,8 +5,7 @@
      alloc    register-allocate and print allocated code + statistics
      run      execute a procedure under the VM (virtual or allocated)
      compare  Chaitin vs Briggs spill statistics for every procedure
-     synth    emit a synthetic MFL program, or color a synthetic
-              interference graph with the speculative Select engine
+     synth    emit a synthetic MFL program
 *)
 
 open Cmdliner
@@ -96,30 +95,6 @@ let trace_arg =
                (about://tracing / Perfetto), or JSON lines when PATH \
                ends in .jsonl (same as setting RA_TRACE=PATH)")
 
-let no_par_color_arg =
-  Arg.(value & flag & info [ "no-par-color" ]
-         ~doc:"Keep the Select stage on the plain sequential path \
-               instead of the speculative parallel coloring engine \
-               (same as RA_PAR_COLOR=0). Results are bit-identical \
-               either way; this only moves work off the pool.")
-
-let apply_par_color no_par =
-  if no_par then Ra_core.Par_color.set_enabled (Some false)
-
-let sched_arg =
-  Arg.(value & opt (some (enum [ "dag", Ra_core.Batch.Dag;
-                                 "flat", Ra_core.Batch.Flat ]))
-         None
-       & info [ "sched" ] ~docv:"MODE"
-           ~doc:"Multi-procedure scheduling: 'dag' (default) runs every \
-                 pipeline stage as a footprint-ordered task on the \
-                 work-stealing scheduler, sharing each procedure's \
-                 first-pass graph build across heuristics; 'flat' \
-                 dispatches whole procedures onto the domain pool (same \
-                 as RA_SCHED). Results are bit-identical either way.")
-
-let apply_sched sched = Option.iter Ra_core.Batch.set_sched_mode sched
-
 (* None = follow the RA_EDGE_CACHE default; Some false = --no-edge-cache *)
 let edge_cache_opt no_cache = if no_cache then Some false else None
 
@@ -140,27 +115,19 @@ let race_scope race f =
   end
   else f ()
 
-(* --jobs overrides RA_JOBS for everything downstream (the shared pool is
-   created lazily, after this runs). Returns the pool for drivers that
-   dispatch whole procedures, or None when sequential. *)
+(* --jobs overrides RA_JOBS for everything downstream (the shared pool
+   and scheduler are created lazily, after this runs). *)
 let apply_jobs jobs =
-  (match jobs with Some j -> Ra_support.Pool.set_default_jobs j | None -> ());
-  if Ra_support.Pool.default_jobs () > 1 then Some (Ra_support.Pool.global ())
-  else None
+  Option.iter Ra_support.Pool.set_default_jobs jobs
 
-(* One heuristic over a procedure batch under the selected scheduling
-   mode: the DAG matrix (stage tasks, shared first-pass builds) by
-   default, the flat procedure-per-task pool under --sched flat. *)
-let allocate_batch ?edge_cache ?verify ~pool machine h procs =
-  match Ra_core.Batch.sched_mode () with
-  | Ra_core.Batch.Dag ->
-    (match
-       Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs
-     with
-     | [ results ] -> results
-     | _ -> assert false)
-  | Ra_core.Batch.Flat ->
-    Ra_core.Batch.allocate_all ~pool ?edge_cache ?verify machine h procs
+(* One heuristic over a procedure batch: a one-column allocation matrix
+   (stage tasks on the work-stealing scheduler). *)
+let allocate_batch ?edge_cache ?verify machine h procs =
+  match
+    Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs
+  with
+  | [ results ] -> results
+  | _ -> assert false
 
 let select_procs procs = function
   | None -> procs
@@ -198,17 +165,15 @@ let dump_cmd =
 
 let alloc_cmd =
   let run file proc heuristic k verbose optimize verify jobs no_cache race
-      trace sched no_par =
+      trace =
     apply_trace trace;
-    apply_sched sched;
-    apply_par_color no_par;
-    let pool = apply_jobs jobs in
+    apply_jobs jobs;
     let machine = machine_of_k k in
     let h = heuristic_of_name heuristic in
     let procs = select_procs (compile ~optimize file) proc in
     let results =
       race_scope race (fun () ->
-        allocate_batch ~pool
+        allocate_batch
           ?edge_cache:(edge_cache_opt no_cache)
           ?verify:(if verify then Some true else None)
           machine h procs)
@@ -232,7 +197,7 @@ let alloc_cmd =
   Cmd.v (Cmd.info "alloc" ~doc:"Register-allocate and report statistics")
     Term.(const run $ file_arg $ proc_arg $ heuristic_arg $ k_arg $ verbose
           $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg $ race_arg
-          $ trace_arg $ sched_arg $ no_par_color_arg)
+          $ trace_arg)
 
 (* ---- run ---- *)
 
@@ -248,10 +213,9 @@ let parse_value s =
 
 let run_cmd =
   let run file entry args heuristic allocate k optimize verify jobs no_cache
-      race trace sched =
+      race trace =
     apply_trace trace;
-    apply_sched sched;
-    let pool = apply_jobs jobs in
+    apply_jobs jobs;
     let procs = compile ~optimize file in
     let procs =
       if allocate then begin
@@ -260,7 +224,7 @@ let run_cmd =
         List.map
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
           (race_scope race (fun () ->
-             allocate_batch ~pool
+             allocate_batch
                ?edge_cache:(edge_cache_opt no_cache)
                ?verify:(if verify then Some true else None)
                machine h procs))
@@ -295,15 +259,14 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a procedure under the VM")
     Term.(const run $ file_arg $ entry $ args $ heuristic_arg $ allocate
           $ k_arg $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg $ sched_arg)
+          $ race_arg $ trace_arg)
 
 (* ---- suite ---- *)
 
 let suite_cmd =
-  let run name heuristic k allocate jobs no_cache race trace sched =
+  let run name heuristic k allocate jobs no_cache race trace =
     apply_trace trace;
-    apply_sched sched;
-    let pool = apply_jobs jobs in
+    apply_jobs jobs;
     let program =
       match
         List.find_opt
@@ -329,7 +292,7 @@ let suite_cmd =
         List.map
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
           (race_scope race (fun () ->
-             allocate_batch ~pool
+             allocate_batch
                ?edge_cache:(edge_cache_opt no_cache) machine h procs))
       end
       else procs
@@ -356,117 +319,40 @@ let suite_cmd =
   in
   Cmd.v (Cmd.info "suite" ~doc:"Run a benchmark-suite program under the VM")
     Term.(const run $ prog_name $ heuristic_arg $ k_arg $ allocate $ jobs_arg
-          $ no_cache_arg $ race_arg $ trace_arg $ sched_arg)
+          $ no_cache_arg $ race_arg $ trace_arg)
 
 (* ---- synth ---- *)
 
 let synth_cmd =
-  let run seed size routines graph webs degree k jobs no_par =
-    apply_par_color no_par;
-    match graph with
-    | None ->
-      (* program mode: emit MFL source on stdout, ready to pipe back
-         into dump/alloc/run *)
-      if routines <= 1 then
-        print_string (Ra_programs.Synth.program ~seed ~size)
-      else print_string (Ra_programs.Synth.many ~seed ~size ~routines)
-    | Some gen ->
-      (* graph mode: build the interference graph directly and race the
-         speculative Select engine against its sequential baseline *)
-      let pool = apply_jobs jobs in
-      let g = gen ~seed ~n_nodes:webs ~n_precolored:32 ~avg_degree:degree in
-      let view = Ra_core.Synth_graph.view g in
-      let order = Ra_core.Synth_graph.natural_order g in
-      let wall f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        r, Unix.gettimeofday () -. t0
-      in
-      let (base_colors, base_unc), seq_s =
-        wall (fun () -> Ra_core.Par_color.select_view_seq view ~k ~order)
-      in
-      let stats = ref Ra_core.Par_color.no_stats in
-      let (colors, unc), spec_s =
-        wall (fun () ->
-          Ra_core.Par_color.select_view ?pool ~stats view ~k ~order)
-      in
-      let identical = colors = base_colors && unc = base_unc in
-      Printf.printf
-        "webs %d, edges %d, digest %s\n\
-         sequential %.6fs, engine %.6fs (width %d%s), spilled %d\n\
-         rounds %d, deferrals %d, identical %b\n"
-        (Ra_core.Synth_graph.n_nodes g)
-        (Ra_core.Synth_graph.n_edges g)
-        (Ra_core.Synth_graph.digest g)
-        seq_s spec_s
-        (match pool with Some p -> Ra_support.Pool.jobs p | None -> 1)
-        (if !stats.Ra_core.Par_color.engaged then "" else ", not engaged")
-        (List.length base_unc)
-        !stats.Ra_core.Par_color.rounds !stats.Ra_core.Par_color.suspects
-        identical;
-      if not identical then exit 1
+  let run seed size routines =
+    (* emit MFL source on stdout, ready to pipe back into
+       dump/alloc/run *)
+    if routines <= 1 then print_string (Ra_programs.Synth.program ~seed ~size)
+    else print_string (Ra_programs.Synth.many ~seed ~size ~routines)
   in
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
-           ~doc:"Generator seed; the same seed always yields the same \
-                 bytes/graph")
+           ~doc:"Generator seed; the same seed always yields the same bytes")
   in
   let size =
     Arg.(value & opt int 40 & info [ "size" ] ~docv:"N"
-           ~doc:"Statement budget per generated routine (program mode)")
+           ~doc:"Statement budget per generated routine")
   in
   let routines =
     Arg.(value & opt int 1 & info [ "routines" ] ~docv:"N"
-           ~doc:"Number of generated routines (program mode); above 1 a \
-                 driver main sums their checksums")
-  in
-  let graph =
-    Arg.(value
-         & opt
-             (some
-                (enum
-                   [ "power-law",
-                     (fun ~seed ~n_nodes ~n_precolored ~avg_degree ->
-                       Ra_core.Synth_graph.power_law ~seed ~n_nodes
-                         ~n_precolored ~avg_degree);
-                     "geometric",
-                     (fun ~seed ~n_nodes ~n_precolored ~avg_degree ->
-                       Ra_core.Synth_graph.geometric ~seed ~n_nodes
-                         ~n_precolored ~avg_degree) ]))
-             None
-         & info [ "graph" ] ~docv:"KIND"
-             ~doc:"Switch to graph mode: generate a 'power-law' or \
-                   'geometric' interference graph, color it with the \
-                   speculative engine and its sequential baseline, and \
-                   report both walls (exits non-zero if they disagree)")
-  in
-  let webs =
-    Arg.(value & opt int 100_000 & info [ "webs" ] ~docv:"N"
-           ~doc:"Node count of the generated graph (graph mode)")
-  in
-  let degree =
-    Arg.(value & opt int 8 & info [ "avg-degree" ] ~docv:"N"
-           ~doc:"Average degree of the generated graph (graph mode)")
-  in
-  let k =
-    Arg.(value & opt int 16 & info [ "k" ] ~docv:"K"
-           ~doc:"Colors available to Select (graph mode)")
+           ~doc:"Number of generated routines; above 1 a driver main sums \
+                 their checksums")
   in
   Cmd.v
-    (Cmd.info "synth"
-       ~doc:"Generate synthetic workloads: random MFL programs, or \
-             interference graphs colored by the speculative engine")
-    Term.(const run $ seed $ size $ routines $ graph $ webs $ degree $ k
-          $ jobs_arg $ no_par_color_arg)
+    (Cmd.info "synth" ~doc:"Generate a synthetic MFL program")
+    Term.(const run $ seed $ size $ routines)
 
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let run file k optimize jobs no_cache race trace sched no_par =
+  let run file k optimize jobs no_cache race trace =
     apply_trace trace;
-    apply_sched sched;
-    apply_par_color no_par;
-    ignore (apply_jobs jobs);
+    apply_jobs jobs;
     let machine = machine_of_k k in
     let procs = compile ~optimize file in
     let hs =
@@ -568,7 +454,7 @@ let compare_cmd =
        ~doc:"Per-procedure spill statistics across all four heuristics \
              (chaitin, briggs, matula, irc)")
     Term.(const run $ file_arg $ k_arg $ opt_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg $ sched_arg $ no_par_color_arg)
+          $ race_arg $ trace_arg)
 
 let () =
   let info = Cmd.info "rralloc" ~doc:"Briggs-style graph-coloring register allocator" in

@@ -41,37 +41,19 @@ val allocate_all :
   Ra_ir.Proc.t list ->
   Allocator.result list
 
-(** How {!allocate_matrix} spreads a suite across domains. *)
-type sched_mode =
-  | Dag
-      (** one work-stealing task DAG: per procedure, a shared first-pass
-          Build fans out to one stage-task chain per heuristic, with
-          dependency edges derived from declared footprints
-          ({!Pipeline.submit_dag}). The default. *)
-  | Flat
-      (** procedure-per-task batches on the domain pool, one batch per
-          heuristic — the pre-DAG dispatch, kept as an escape hatch
-          ([RA_SCHED=flat]). Bit-identical results. *)
-
-(** The mode in effect: {!set_sched_mode}'s override when called, else
-    [RA_SCHED] (["flat"] selects {!Flat}; unset or anything else selects
-    {!Dag}). *)
-val sched_mode : unit -> sched_mode
-
-(** Driver override for a [--sched] flag; wins over [RA_SCHED]. *)
-val set_sched_mode : sched_mode -> unit
-
 (** [allocate_matrix machine heuristics procs] allocates every
     procedure under every heuristic — the full suite-comparison matrix —
     and returns one result list per heuristic, each in procedure order.
-    Under {!Dag} the whole matrix is one scheduler scope and each
-    procedure's first-pass Build is shared by its heuristic pipelines;
-    under {!Flat} it degenerates to one {!allocate_all} per heuristic.
-    The allocation options mirror {!Allocator.allocate}'s and apply to
-    every cell. [scheduler] (for {!Dag}) overrides the process-global
-    scheduler — tests sweep widths with private instances. [tele] (for
-    {!Dag}) overrides the ambient telemetry sink, so harnesses can
-    collect the run's counters without configuring [RA_TRACE]. *)
+    The whole matrix is one work-stealing task DAG: per procedure, a
+    shared first-pass Build fans out to one stage-task chain per
+    heuristic, with dependency edges derived from declared footprints
+    ({!Pipeline.submit_dag}). Results are bit-identical to one
+    sequential {!allocate_all} per heuristic. The allocation options
+    mirror {!Allocator.allocate}'s and apply to every cell. [scheduler]
+    overrides the process-global scheduler — tests sweep widths with
+    private instances. [tele] overrides the ambient telemetry sink, so
+    harnesses can collect the run's counters without configuring
+    [RA_TRACE]. *)
 val allocate_matrix :
   ?coalesce:bool ->
   ?max_passes:int ->
@@ -79,7 +61,6 @@ val allocate_matrix :
   ?rematerialize:bool ->
   ?verify:bool ->
   ?edge_cache:bool ->
-  ?sched:sched_mode ->
   ?scheduler:Ra_support.Scheduler.t ->
   ?tele:Ra_support.Telemetry.t ->
   Machine.t ->

@@ -81,30 +81,38 @@ type select_result = {
 
 let select (g : Igraph.t) ~k ~order : select_result =
   let n = Igraph.n_nodes g in
-  let colors = Array.make n None in
+  (* [-1]: uncolored (never ordered, or blocked); [>= 0]: a color *)
+  let colors = Array.make n (-1) in
   for p = 0 to Igraph.n_precolored g - 1 do
-    colors.(p) <- Some p
+    colors.(p) <- p
   done;
-  let uncolored = ref [] in
-  let in_use = Array.make (max k 1) false in
-  let color_node node =
-    Igraph.iter_neighbors g node ~f:(fun nb ->
-      match colors.(nb) with
-      | Some c when c < k -> in_use.(c) <- true
-      | Some _ | None -> ());
-    let rec first_free c = if c >= k then None else if in_use.(c) then first_free (c + 1) else Some c in
-    (match first_free 0 with
-     | Some c -> colors.(node) <- Some c
-     | None -> uncolored := node :: !uncolored);
-    (* reset scratch *)
-    Igraph.iter_neighbors g node ~f:(fun nb ->
-      match colors.(nb) with
-      | Some c when c < k -> in_use.(c) <- false
-      | Some _ | None -> ())
+  (* One neighbor sweep per node into a stamp-versioned scratch:
+     [in_use.(c) = !stamp] means some neighbor of the current node holds
+     color [c], so the scratch never needs a reset sweep. In coloring
+     order only already-colored nodes and machine registers hold a
+     color >= 0, so no rank test is needed either. *)
+  let in_use = Array.make (max k 1) 0 in
+  let stamp = ref 0 in
+  let mark nb =
+    let c = colors.(nb) in
+    if c >= 0 && c < k then in_use.(c) <- !stamp
   in
+  let uncolored = ref [] in
   (* reinsert in reverse removal order *)
-  List.iter color_node (List.rev order);
-  { colors; uncolored = List.rev !uncolored }
+  List.iter
+    (fun node ->
+      incr stamp;
+      Igraph.iter_neighbors g node ~f:mark;
+      let c = ref 0 in
+      while !c < k && in_use.(!c) = !stamp do incr c done;
+      if !c < k then colors.(node) <- !c else uncolored := node :: !uncolored)
+    (List.rev order);
+  (* Not [Array.map]: creating a major-heap array whose first element
+     is a young [Some] forces a minor collection, and a minor
+     collection stops every domain. *)
+  let boxed = Array.make n None in
+  Array.iteri (fun i c -> if c >= 0 then boxed.(i) <- Some c) colors;
+  { colors = boxed; uncolored = List.rev !uncolored }
 
 let smallest_last_order ?buckets (g : Igraph.t) : int list =
   let n = Igraph.n_nodes g in

@@ -21,7 +21,6 @@ type t = {
   verify : bool;
   tele : Telemetry.t;
   pool : Pool.t option;
-  wide_pool : Pool.t option;
   acache : Analysis_cache.t;
   par : Build.par_scratch;
   touched : Bitset.t;
@@ -51,7 +50,7 @@ let edge_cache_default =
   | None | Some _ -> true
 
 let create ?(incremental = incremental_default) ?(verify = verify_default)
-    ?(edge_cache = edge_cache_default) ?tele ?jobs ?pool ?wide_pool machine =
+    ?(edge_cache = edge_cache_default) ?tele ?jobs ?pool machine =
   (* every context installs the dispatch-time footprint validator, so
      any meta-carrying batch submitted through allocation is statically
      checked for write-set disjointness (idempotent, one ref store) *)
@@ -75,17 +74,11 @@ let create ?(incremental = incremental_default) ?(verify = verify_default)
   (match pool with
    | Some p when Telemetry.enabled tele -> Pool.set_telemetry p tele
    | Some _ | None -> ());
-  let wide_pool =
-    match wide_pool with
-    | Some p when Pool.jobs p > 1 -> Some p
-    | Some _ | None -> None
-  in
   { machine;
     incremental;
     verify;
     tele;
     pool;
-    wide_pool;
     acache = Analysis_cache.create ();
     par = Build.par_scratch ();
     touched = Bitset.create 0;
@@ -100,8 +93,6 @@ let create ?(incremental = incremental_default) ?(verify = verify_default)
 let machine t = t.machine
 let telemetry t = t.tele
 let incremental_enabled t = t.incremental
-let pool t = t.pool
-let wide_pool t = t.wide_pool
 let analysis_cache t = t.acache
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
 let buckets t = t.buckets

@@ -65,14 +65,7 @@ type t
     — i.e. [RA_JOBS] / the core count — so multi-core parallelism is on
     by default and [RA_JOBS=1] is the escape hatch. Either way the
     allocation results are engineered to be bit-identical to a
-    sequential build (cross-checked under [RA_VERIFY]).
-
-    [wide_pool] is a pool the context may {e borrow} for large
-    Color-stage work without owning it for block scans: batch drivers
-    that pin [jobs:1] per pipeline (procedure-level parallelism) pass
-    the scheduler's pool here so big routines can still go wide inside
-    Select (the engine's node-count floor keeps small routines off
-    it). Ignored when its width is 1. *)
+    sequential build (cross-checked under [RA_VERIFY]). *)
 val create :
   ?incremental:bool ->
   ?verify:bool ->
@@ -80,7 +73,6 @@ val create :
   ?tele:Ra_support.Telemetry.t ->
   ?jobs:int ->
   ?pool:Ra_support.Pool.t ->
-  ?wide_pool:Ra_support.Pool.t ->
   Machine.t ->
   t
 
@@ -91,12 +83,6 @@ val telemetry : t -> Ra_support.Telemetry.t
 
 val incremental_enabled : t -> bool
 val edge_cache_enabled : t -> bool
-
-(** The pool builds run on, if any. *)
-val pool : t -> Ra_support.Pool.t option
-
-(** The borrowed Color-stage pool, if any (see {!create}). *)
-val wide_pool : t -> Ra_support.Pool.t option
 
 (** The cross-pass dominator/loop cache carried by this context. *)
 val analysis_cache : t -> Ra_analysis.Analysis_cache.t

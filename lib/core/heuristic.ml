@@ -26,18 +26,9 @@ let assert_total (g : Igraph.t) (colors : int option array) =
     assert (colors.(n) <> None)
   done
 
-let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
-    ?(verify = false) ?(moves = [||]) ?irc_stats ?on_coalesce t g ~k ~costs :
-    outcome =
+let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool:_
+    ?(moves = [||]) ?irc_stats ?on_coalesce t g ~k ~costs : outcome =
   let timed phase f = Ra_support.Telemetry.span tele ?timer phase f in
-  (* Select goes through the speculative engine when it can pay off
-     (pool present, graph big enough, RA_PAR_COLOR not off) — the
-     results are bit-identical, so the routing is invisible. *)
-  let select g ~k ~order =
-    if Par_color.should ~pool ~n_nodes:(Igraph.n_nodes g) then
-      Par_color.select ?pool ~verify ~tele g ~k ~order
-    else Coloring.select g ~k ~order
-  in
   match t with
   | Chaitin ->
     let { Coloring.order; marked } =
@@ -47,7 +38,7 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
     if marked <> [] then Spill marked
     else begin
       let { Coloring.colors; uncolored } =
-        timed Ra_support.Phase.Color (fun () -> select g ~k ~order)
+        timed Ra_support.Phase.Color (fun () -> Coloring.select g ~k ~order)
       in
       (* simplification only removed degree-< k nodes: coloring must work *)
       assert (uncolored = []);
@@ -61,7 +52,7 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
     in
     assert (marked = []);
     let { Coloring.colors; uncolored } =
-      timed Ra_support.Phase.Color (fun () -> select g ~k ~order)
+      timed Ra_support.Phase.Color (fun () -> Coloring.select g ~k ~order)
     in
     if uncolored <> [] then Spill uncolored
     else begin
@@ -74,7 +65,7 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
         Coloring.smallest_last_order ?buckets g)
     in
     let { Coloring.colors; uncolored } =
-      timed Ra_support.Phase.Color (fun () -> select g ~k ~order)
+      timed Ra_support.Phase.Color (fun () -> Coloring.select g ~k ~order)
     in
     if uncolored <> [] then Spill uncolored
     else begin
@@ -82,12 +73,6 @@ let run ?timer ?(tele = Ra_support.Telemetry.null) ?buckets ?pool
       Colored colors
     end
   | Irc ->
-    (* The speculative Select engine assumes a pure rank recurrence;
-       iterated coalescing mutates degrees, adjacency and aliasing
-       mid-loop, so it cannot engage. Record the declination instead of
-       silently running at the wrong width. *)
-    if Par_color.should ~pool ~n_nodes:(Igraph.n_nodes g) then
-      Ra_support.Telemetry.counter tele "par_color.declined_irc" 1;
     let stats =
       match irc_stats with Some s -> s | None -> Irc.fresh_stats ()
     in

@@ -52,22 +52,15 @@ val of_name : string -> t option
     class graphs of a pass); [on_coalesce] is handed through to
     {!Irc.run} so the caller can union the underlying webs per merge.
 
-    Simplify always runs {!Coloring.simplify}. With [pool], select
-    routes through the speculative parallel engine whenever
-    {!Par_color.should} says it can pay — the outcome is bit-identical
-    either way; [verify] additionally cross-checks that engine against
-    [Coloring.select] (raising {!Par_color.Divergence} on any
-    difference). {!Irc} never engages the speculative engine —
-    coalescing mutates degrees and adjacency mid-loop, breaking its
-    frozen-state assumption — and records the declination as a
-    [par_color.declined_irc] counter whenever it would otherwise have
-    engaged. *)
+    The three classic heuristics color with {!Coloring.select}. [pool]
+    is accepted and ignored: no stage of a graph solve runs in
+    parallel, and the argument stays only until the benchmark harness
+    that passes it drops it. *)
 val run :
   ?timer:Ra_support.Timer.t ->
   ?tele:Ra_support.Telemetry.t ->
   ?buckets:Ra_support.Degree_buckets.t ->
   ?pool:Ra_support.Pool.t ->
-  ?verify:bool ->
   ?moves:(int * int) array ->
   ?irc_stats:Irc.stats ->
   ?on_coalesce:(int -> int -> int) ->

@@ -188,15 +188,6 @@ module Color_pass = struct
 
   let run st ~timer ?irc ?moves built cls ~costs =
     let k = Machine.regs st.machine cls in
-    (* a context without a build pool of its own (batch drivers pin
-       jobs:1 per pipeline) may still have a borrowed wide pool for
-       the Select engine — its node-count floor keeps small graphs
-       sequential, so lending costs nothing *)
-    let pool =
-      match Context.pool st.ctx with
-      | Some _ as p -> p
-      | None -> Context.wide_pool st.ctx
-    in
     (* [moves]/[irc_stats]/[on_coalesce] are dead weight to the three
        classic heuristics (and the staged arrays are [||] outside a
        Conservative build), so passing them unconditionally is safe.
@@ -211,7 +202,7 @@ module Color_pass = struct
          | Reg.Flt_reg -> built.Build.moves_flt)
     in
     Heuristic.run ~timer ~tele:st.tele ~buckets:(Context.buckets st.ctx)
-      ?pool ~verify:st.cfgn.verify ~moves ?irc_stats:irc
+      ~moves ?irc_stats:irc
       ~on_coalesce:(on_coalesce built cls) st.heuristic
       (Build.graph_of_class built cls)
       ~k ~costs
@@ -637,7 +628,7 @@ let irc_fallback cfgn ~context machine heuristic (original : Proc.t)
     ->
     first
 
-(* ---- the DAG decomposition (RA_SCHED=dag) ----
+(* ---- the DAG decomposition ----
 
    The same stage modules, restructured as dependency-carrying tasks on
    a {!Scheduler}: per procedure, ONE shared first-pass Build fans out
@@ -666,8 +657,8 @@ let irc_fallback cfgn ~context machine heuristic (original : Proc.t)
    driver's: the stages run in the same relative order within a
    pipeline, on the same structures (the shared build is exactly the
    scratch build every pipeline's pass 1 would have produced — same
-   code, same webs, no spill temps yet), so [RA_SCHED=flat] is a pure
-   scheduling escape hatch, not a different allocator. *)
+   code, same webs, no spill temps yet), so the DAG is a schedule of
+   the sequential driver, not a different allocator. *)
 
 type shared_build = {
   sb_cfg : Cfg.t;

@@ -96,11 +96,11 @@ val run :
   config -> context:Context.t -> Machine.t -> Heuristic.t -> Ra_ir.Proc.t ->
   outcome
 
-(** The DAG decomposition ([RA_SCHED=dag]): submit, into the open
-    {!Ra_support.Scheduler.run} scope of [sched], one shared first-pass
-    Build task for the procedure plus one stage-task chain per
-    [pipelines] entry (a heuristic with its own single-threaded
-    context), all dependency-ordered through declared
+(** The DAG decomposition, the driver behind {!Batch.allocate_matrix}:
+    submit, into the open {!Ra_support.Scheduler.run} scope of [sched],
+    one shared first-pass Build task for the procedure plus one
+    stage-task chain per [pipelines] entry (a heuristic with its own
+    single-threaded context), all dependency-ordered through declared
     {!Ra_support.Footprint.State} tokens. Returns one result slot per
     pipeline, filled by its rewrite task — read them only after the
     scheduler scope has drained. Outcomes are bit-identical to {!run}

@@ -16,11 +16,6 @@ let iter_neighbors t n ~f =
     f t.adj.(i)
   done
 
-let view t =
-  { Par_color.v_nodes = t.n_nodes;
-    v_precolored = t.n_precolored;
-    v_iter = (fun n f -> iter_neighbors t n ~f) }
-
 (* Build CSR from a flat [u0; v0; u1; v1; ...] edge array (distinct,
    no self-loops) by counting sort — two passes, no intermediate
    per-node lists. Row contents keep edge-emission order. *)
@@ -152,9 +147,6 @@ let geometric ~seed ~n_nodes ~n_precolored ~avg_degree =
     done
   done;
   of_edge_array ~n_nodes ~n_precolored !edges ~n_edges:!n_edges
-
-let natural_order t =
-  Array.init (t.n_nodes - t.n_precolored) (fun i -> t.n_precolored + i)
 
 let digest t =
   let h = ref 0x3bf29ce484222325 (* FNV offset basis, truncated to int *) in

@@ -1,7 +1,8 @@
 (** Synthetic interference graphs at scales no real routine reaches.
 
-    The real suite tops out near 2k webs — far too small to exercise
-    {!Par_color} — so the benches generate graphs directly: power-law
+    The real suite tops out near 2k webs — far too small to load
+    Simplify and Select the way huge routines would — so the benchmark
+    generates graphs directly: power-law
     graphs (preferential attachment — a few hub webs interfering with
     everything, the shape long-lived values produce) and geometric
     random graphs (uniform points joined within a radius — the locally
@@ -20,9 +21,6 @@ val n_precolored : t -> int
 val n_edges : t -> int
 val iter_neighbors : t -> int -> f:(int -> unit) -> unit
 
-(** The engine's read-only adjacency interface over this graph. *)
-val view : t -> Par_color.view
-
 (** [power_law ~seed ~n_nodes ~n_precolored ~avg_degree] grows a
     Barabási–Albert-style graph: each new node attaches
     [avg_degree / 2] edges to endpoints sampled proportionally to
@@ -38,10 +36,6 @@ val power_law :
     scattered like any other node. *)
 val geometric :
   seed:int -> n_nodes:int -> n_precolored:int -> avg_degree:int -> t
-
-(** A natural coloring order: every non-precolored node, ascending id —
-    what Select sees after a degree-agnostic simplify. *)
-val natural_order : t -> int array
 
 (** A 64-bit FNV-1a digest of the full structure (sizes, row offsets,
     adjacency), as fixed-width hex — the determinism tests' fingerprint. *)

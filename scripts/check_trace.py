@@ -7,23 +7,23 @@ Checks, in order:
      per-thread (per-domain) track — spans on one tid either disjoint
      or strictly contained, never partially overlapping;
   3. the trace covers the allocator's documented stages. Two shapes:
-     the flat pipeline (RA_SCHED=flat, or a single-routine alloc) has an
-     `alloc` root with at least one `pass` and `build` / `simplify` /
-     `color` spans under it; the task-DAG schedule (RA_SCHED=dag) wraps
-     every stage in a `task` span instead — `task` spans plus the same
-     stage spans, and at least one `sched.tasks`-family counter sample.
-     Under `--heuristic irc` the worklist engine's `coalesce` span
-     subsumes `simplify` (simplification and coalescing interleave in
-     one loop), so either name satisfies that slot (spill phases appear
-     only when something spills in either shape; `par-color` spans
-     appear only when the parallel Select engine clears its node-count
-     floor and engages);
+     the sequential driver (`Allocator.allocate` / `Batch.allocate_all`,
+     e.g. `bench/main.exe` run under RA_TRACE) has an `alloc` root with
+     at least one `pass` and `build` / `simplify` / `color` spans under
+     it; the task-DAG schedule (`Batch.allocate_matrix`, which every
+     `rralloc` allocation runs) wraps every stage in a `task` span
+     instead — `task` spans plus the same stage spans, and at least one
+     `sched.tasks`-family counter sample. Under `--heuristic irc` the
+     worklist engine's `coalesce` span subsumes `simplify`
+     (simplification and coalescing interleave in one loop), so either
+     name satisfies that slot (spill phases appear only when something
+     spills, in either shape);
   4. when more than one domain participated, at least one pooled `scan`
      or stolen `task` span is tagged with a non-main tid;
   5. every counter named by a --require-counter flag has at least one
-     sample and a positive final total — the way a CI job asserts "the
-     parallel engines actually engaged on this run" rather than merely
-     "the trace looked well-formed".
+     sample and a positive final total — the way a CI job asserts "this
+     code path actually ran" rather than merely "the trace looked
+     well-formed".
 
 Exit status 0 on success; 1 with a message on the first violation.
 Usage: check_trace.py [--require-counter NAME]... TRACE.json

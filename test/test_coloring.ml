@@ -1,7 +1,7 @@
 (* Tests for the interference graph and the coloring heuristics,
    including the paper's Figure 2 and Figure 3 examples, the §2.3
-   subset theorem, and the spill election against the linear scan it
-   replaced. *)
+   subset theorem, and Select and the spill election against the
+   implementations they replaced. *)
 
 open Ra_core
 
@@ -266,33 +266,6 @@ let prop_select_respects_order_contract =
       && List.for_all (fun m -> colors.(m) = None) marked
       && List.for_all (fun o -> colors.(o) <> None) order)
 
-let prop_par_select_is_drop_in =
-  (* the speculative engine's allocator-facing wrapper must be a drop-in
-     for Coloring.select under every heuristic: colors AND spill
-     decisions unchanged. Graphs this small stay on the engine's tuned
-     sequential path (the sharded path needs a long order — exercised
-     in Test_synth); what this property pins down is the wrapper's
-     contract, with verify cross-checking against Coloring.select on
-     every run. *)
-  QCheck.Test.make
-    ~name:"par_color select is a drop-in for Coloring.select" ~count:60
-    (QCheck.pair graph_arb (QCheck.make QCheck.Gen.(int_range 2 8)))
-    (fun ((seed, n, density), k) ->
-      let g = random_graph seed n density in
-      let costs = Array.init n (fun i -> float_of_int (1 + (i * 7 mod 13))) in
-      let pool = Ra_support.Pool.create ~jobs:2 in
-      Par_color.set_min_nodes (Some 1);
-      Fun.protect
-        ~finally:(fun () ->
-          Par_color.set_min_nodes None;
-          Ra_support.Pool.shutdown pool)
-        (fun () ->
-          List.for_all
-            (fun h ->
-              Heuristic.run h g ~k ~costs
-              = Heuristic.run ~pool ~verify:true h g ~k ~costs)
-            [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula ]))
-
 (* ---- Spill election: the heap against the linear scan it replaced ---- *)
 
 (* The linear-scan Simplify the heap replaced, kept as the reference:
@@ -437,6 +410,113 @@ let synthetic_graphs_match_reference () =
     [ ("power_law", Synth_graph.power_law);
       ("geometric", Synth_graph.geometric) ]
 
+(* ---- Select: the stamped int pass against the option-array one ---- *)
+
+(* The option-array Select the stamped pass replaced, kept as the
+   reference: a boolean scratch marked by one neighbor sweep and reset
+   by a second. *)
+let reference_select (g : Igraph.t) ~k ~order =
+  let n = Igraph.n_nodes g in
+  let colors = Array.make n None in
+  for p = 0 to Igraph.n_precolored g - 1 do
+    colors.(p) <- Some p
+  done;
+  let uncolored = ref [] in
+  let in_use = Array.make (max k 1) false in
+  let color_node node =
+    Igraph.iter_neighbors g node ~f:(fun nb ->
+      match colors.(nb) with
+      | Some c when c < k -> in_use.(c) <- true
+      | Some _ | None -> ());
+    let rec first_free c =
+      if c >= k then None else if in_use.(c) then first_free (c + 1) else Some c
+    in
+    (match first_free 0 with
+     | Some c -> colors.(node) <- Some c
+     | None -> uncolored := node :: !uncolored);
+    Igraph.iter_neighbors g node ~f:(fun nb ->
+      match colors.(nb) with
+      | Some c when c < k -> in_use.(c) <- false
+      | Some _ | None -> ())
+  in
+  List.iter color_node (List.rev order);
+  { Coloring.colors; uncolored = List.rev !uncolored }
+
+(* Every removal order the classic heuristics hand to Select: Chaitin's
+   (marked nodes left out, when its simplify finishes at all), Briggs's
+   and Matula's smallest-last. *)
+let classic_orders g ~k ~costs =
+  let simplify policy =
+    match Coloring.simplify g ~k ~costs ~policy with
+    | { Coloring.order; _ } -> [ order ]
+    | exception Failure _ -> []
+  in
+  simplify Coloring.Spill_during_simplify
+  @ simplify Coloring.Defer_to_select
+  @ [ Coloring.smallest_last_order g ]
+
+let select_matches_reference g ~k ~costs =
+  List.for_all
+    (fun order ->
+      Coloring.select g ~k ~order = reference_select g ~k ~order)
+    (classic_orders g ~k ~costs)
+
+let prop_select_matches_reference =
+  QCheck.Test.make
+    ~name:"stamped select equals the option-array reference" ~count:500
+    QCheck.(
+      pair
+        (triple (int_bound 1000000) (int_range 2 60) (int_range 5 70))
+        (pair (int_range 0 6) (int_range 1 8)))
+    (fun ((seed, n, density), (pre, k)) ->
+      (* shrinking may step outside the generators' ranges *)
+      let n = max 2 n and k = max 1 k in
+      let pre = max 0 (min pre (n - 1)) in
+      let rng = Ra_support.Lcg.create ~seed in
+      let g = Igraph.create ~n_nodes:n ~n_precolored:pre in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          if Ra_support.Lcg.int rng 100 < density then Igraph.add_edge g a b
+        done
+      done;
+      select_matches_reference g ~k ~costs:(tie_costs rng n))
+
+let synthetic_graphs_select_matches_reference () =
+  (* the benchmark's graph shape: 12,000 webs, average degree 32 *)
+  List.iter
+    (fun (name, gen) ->
+      let g =
+        Synth_graph.to_igraph
+          (gen ~seed:42 ~n_nodes:12_000 ~n_precolored:32 ~avg_degree:32)
+      in
+      let costs =
+        Array.init (Igraph.n_nodes g) (fun i -> float_of_int (1 + (i * 7 mod 13)))
+      in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d identical" name k)
+            true
+            (select_matches_reference g ~k ~costs))
+        [ 4; 16 ])
+    [ ("power_law", Synth_graph.power_law);
+      ("geometric", Synth_graph.geometric) ]
+
+let select_forces_no_minor_collection () =
+  (* a graph big enough that [colors] lives in the major heap; after an
+     emptying [Gc.minor], Select's own few thousand minor words cannot
+     fill the minor heap, so any collection would be a forced one *)
+  let g = random_graph 7 2_000 1 in
+  let { Coloring.order; _ } =
+    Coloring.simplify g ~k:8 ~costs:(unit_costs 2_000)
+      ~policy:Coloring.Defer_to_select
+  in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Sys.opaque_identity (Coloring.select g ~k:8 ~order));
+  Alcotest.(check int) "minor collections during select" 0
+    ((Gc.quick_stat ()).Gc.minor_collections - before)
+
 (* The election module against a scan, under the caller contract: ratios
    rise freely (degree drops, cost rises), and a node is pushed whenever
    its degree rises or it becomes a candidate. *)
@@ -548,8 +628,13 @@ let suites =
       [ qtest prop_briggs_subset_of_chaitin;
         qtest prop_colorings_always_proper;
         qtest prop_matula_colors_low_degeneracy;
-        qtest prop_select_respects_order_contract;
-        qtest prop_par_select_is_drop_in ] );
+        qtest prop_select_respects_order_contract ] );
+    ( "core.select",
+      [ qtest prop_select_matches_reference;
+        Alcotest.test_case "synthetic-graph select equals the reference"
+          `Quick synthetic_graphs_select_matches_reference;
+        Alcotest.test_case "select forces no minor collection" `Quick
+          select_forces_no_minor_collection ] );
     ( "core.spill_election",
       [ qtest prop_simplify_matches_reference;
         Alcotest.test_case "synthetic-graph simplify equals the scan" `Quick

@@ -6,8 +6,9 @@
    propagate, the Pool façade batches interleave, the edge-derivation
    rule (Ra_check.Effects.edges) matches what the scheduler enforces,
    a seeded missing edge is flagged by the race detector as a data
-   race, and the DAG allocation matrix is bit-identical to the flat
-   dispatch across widths and edge-cache settings. *)
+   race, and the DAG allocation matrix is bit-identical to flat,
+   sequential allocation (one warm-context batch per heuristic) across
+   widths and edge-cache settings. *)
 
 open Ra_support
 open Ra_core
@@ -284,6 +285,12 @@ let seeded_missing_edge_is_caught () =
 let machine = Machine.rt_pc
 let heuristics = [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula ]
 
+(* The flat reference: one sequential batch per heuristic. *)
+let flat_matrix ?edge_cache procs =
+  List.map
+    (fun h -> Batch.allocate_all ~pool:None ?edge_cache machine h procs)
+    heuristics
+
 let fingerprint (r : Allocator.result) =
   ( List.map
       (fun (p : Allocator.pass_record) ->
@@ -298,15 +305,12 @@ let fingerprint (r : Allocator.result) =
 
 let dag_matrix_matches_flat_on_suite () =
   let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
-  let flat =
-    Batch.allocate_matrix ~sched:Batch.Flat machine heuristics procs
-  in
+  let flat = flat_matrix procs in
   List.iter
     (fun jobs ->
       with_sched ~jobs (fun s ->
         let dag =
-          Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:s machine
-            heuristics procs
+          Batch.allocate_matrix ~scheduler:s machine heuristics procs
         in
         Alcotest.(check bool)
           (Printf.sprintf "jobs=%d: quicksort matrix bit-identical" jobs)
@@ -324,14 +328,11 @@ let prop_dag_equals_flat =
     (fun (seed, size, jobs, edge_cache) ->
       let src = Progen.generate ~seed ~size in
       let procs = Ra_ir.Codegen.compile_source src in
-      let flat =
-        Batch.allocate_matrix ~sched:Batch.Flat ~edge_cache machine heuristics
-          procs
-      in
+      let flat = flat_matrix ~edge_cache procs in
       with_sched ~jobs (fun s ->
         let dag =
-          Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:s ~edge_cache
-            machine heuristics procs
+          Batch.allocate_matrix ~scheduler:s ~edge_cache machine heuristics
+            procs
         in
         let same =
           List.for_all2
@@ -344,10 +345,6 @@ let prop_dag_equals_flat =
             "DAG and flat outcomes diverge (seed %d, size %d, jobs %d, \
              cache %b)"
             seed size jobs edge_cache;
-        (* the schedules the two modes derived must also agree on the
-           adjacency rule: re-deriving edges from the footprints the
-           matrix would declare is pure (Effects.edges), so spot-check
-           the rule's symmetry on the tokens it uses *)
         true))
 
 let suites =
