@@ -13,41 +13,26 @@ type alloc_pair = {
   irc_result : Allocator.result;
 }
 
-(* The pool whole-procedure allocations are dispatched on when RA_JOBS /
-   --jobs asks for parallelism; None on a sequential run. *)
-let default_pool = Batch.default_pool
-
 (* Allocate every routine of a program with the comparison heuristics
-   (Chaitin, Briggs and the iterated-coalescing worklist). Without an
-   explicit context this runs as the heuristic comparison matrix
-   ({!Batch.allocate_matrix}): a task DAG in which each routine's
-   first-pass graph build is shared by the pipelines. An explicit [context]
-   (or [pool]) keeps the historical warm-context batch path. Results are
-   identical every way. *)
-let allocate_program ?(machine = Machine.rt_pc) ?context ?pool
+   (Chaitin, Briggs and the iterated-coalescing worklist), as the
+   heuristic comparison matrix ({!Batch.allocate_matrix}): a task DAG in
+   which each routine's first-pass graph build is shared by the
+   pipelines. *)
+let allocate_program ?(machine = Machine.rt_pc)
     (p : Ra_programs.Suite.program) =
   let procs = Ra_programs.Suite.compile p in
-  match context, pool with
-  | None, None ->
-    (match
-       Batch.allocate_matrix machine
-         [ old_heuristic; new_heuristic; irc_heuristic ]
-         procs
-     with
-     | [ olds; news; ircs ] ->
-       List.map2
-         (fun (proc : Ra_ir.Proc.t) (old_result, (new_result, irc_result)) ->
-           { routine = proc.Ra_ir.Proc.name; old_result; new_result;
-             irc_result })
-         procs (List.combine olds (List.combine news ircs))
-     | _ -> assert false)
-  | _, _ ->
-    let pool = match pool with Some p -> p | None -> default_pool () in
-    Batch.map_procs ~pool ?context machine procs ~f:(fun ctx proc ->
-      { routine = proc.Ra_ir.Proc.name;
-        old_result = Allocator.allocate ~context:ctx machine old_heuristic proc;
-        new_result = Allocator.allocate ~context:ctx machine new_heuristic proc;
-        irc_result = Allocator.allocate ~context:ctx machine irc_heuristic proc })
+  match
+    Batch.allocate_matrix machine
+      [ old_heuristic; new_heuristic; irc_heuristic ]
+      procs
+  with
+  | [ olds; news; ircs ] ->
+    List.map2
+      (fun (proc : Ra_ir.Proc.t) (old_result, (new_result, irc_result)) ->
+        { routine = proc.Ra_ir.Proc.name; old_result; new_result;
+          irc_result })
+      procs (List.combine olds (List.combine news ircs))
+  | _ -> assert false
 
 (* Run a program's driver on the given allocated procedure set. *)
 let run_allocated ?(machine = Machine.rt_pc) ?context heuristic

@@ -36,14 +36,9 @@ type result = {
 
 exception Allocation_failure = Pipeline.Allocation_failure
 
-let verify_default =
-  match Sys.getenv_opt "RA_VERIFY" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 let allocate ?(coalesce = true) ?(max_passes = 32)
     ?(spill_base = Spill_costs.default_base) ?(rematerialize = true)
-    ?(verify = verify_default) ?context machine heuristic
+    ?(verify = Context.verify_default) ?context machine heuristic
     (original : Ra_ir.Proc.t) : result =
   let context =
     match context with

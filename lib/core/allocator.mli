@@ -77,8 +77,8 @@ exception Allocation_failure of string
     independent liveness recomputation before the rewrite, and the
     output is linted and verified ({!Ra_check.Verify_alloc.run}). Any
     error-severity diagnostic raises {!Allocation_failure} carrying the
-    full report. Defaults to true iff the [RA_VERIFY] environment
-    variable is set to a non-empty value other than ["0"].
+    full report. Defaults to {!Context.verify_default} (the [RA_VERIFY]
+    environment variable).
 
     [context], when given, supplies the {!Context} whose buffers and
     incremental structures the passes run on — batch drivers pass one

@@ -4,47 +4,13 @@ let default_pool () =
   if Ra_support.Pool.default_jobs () > 1 then Some (Ra_support.Pool.global ())
   else None
 
-let map_procs ?pool ?context ?edge_cache machine ~f (procs : Proc.t list) =
-  let pool = match pool with Some p -> p | None -> default_pool () in
-  let several = match procs with _ :: _ :: _ -> true | [] | [ _ ] -> false in
-  match context, pool with
-  | Some ctx, _ ->
-    (* an explicit context wins: the caller wants its warm buffers (and
-       its stats) across the whole batch, so the batch runs sequentially
-       over it — the context's own pool still parallelizes each build *)
-    List.map (f ctx) procs
-  | None, Some pool when Ra_support.Pool.jobs pool > 1 && several ->
-    (* Procedure-level dispatch: each routine is one pool task with a
-       context of its own (contexts are single-threaded); the result
-       list keeps routine order. Build-stage block scans stay at
-       [jobs:1] — nesting block-sharded builds inside procedure tasks
-       would queue [jobs × jobs] tasks on the same pool for no extra
-       width. Each task's context, graphs and cache are its own
-       creations; the one shared resource it touches is the telemetry
-       sink. *)
-    Ra_support.Pool.map_list pool
-      ~meta:(fun proc ->
-        { Ra_support.Pool.tm_name = "alloc:" ^ proc.Proc.name;
-          tm_footprint =
-            { Ra_support.Footprint.reads = [];
-              writes = [ Ra_support.Footprint.Telemetry ] } })
-      (fun proc ->
-        f (Context.create ?edge_cache ~jobs:1 machine) proc)
-      procs
-  | None, (Some _ | None) ->
-    (* zero or one routine (or a width-1 pool): spend the pool on
-       block-sharded graph construction inside one context instead *)
-    let ctx = Context.create ?edge_cache ?pool machine in
-    List.map (f ctx) procs
-
-let allocate_all ?pool ?context ?edge_cache ?verify machine heuristic procs =
-  map_procs ?pool ?context ?edge_cache machine procs ~f:(fun ctx proc ->
-    Allocator.allocate ?verify ~context:ctx machine heuristic proc)
-
-let verify_default =
-  match Sys.getenv_opt "RA_VERIFY" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let allocate_all ?context ?edge_cache ?verify machine heuristic procs =
+  let ctx =
+    match context with
+    | Some c -> c
+    | None -> Context.create ?edge_cache machine
+  in
+  List.map (Allocator.allocate ?verify ~context:ctx machine heuristic) procs
 
 (* Transpose a per-procedure list of per-heuristic cells into the
    per-heuristic result lists the callers want. *)
@@ -53,7 +19,7 @@ let transpose ~n_heuristics rows =
 
 let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
     ?(spill_base = Spill_costs.default_base) ?(rematerialize = true)
-    ?(verify = verify_default) ?edge_cache ?scheduler ?tele machine
+    ?(verify = Context.verify_default) ?edge_cache ?scheduler ?tele machine
     heuristics (procs : Proc.t list) : Allocator.result list list =
   let open Ra_support in
   let cfgn =

@@ -1,38 +1,17 @@
-(** The one suite runner every driver shares: allocate a batch of
-    procedures with warm contexts, optionally dispatching whole
-    procedures across a pool.
-
-    The policy, identical results either way:
-
-    - an explicit [context] wins — the batch runs sequentially over it
-      so its buffers (and stats) stay warm across every routine; the
-      context's own pool still parallelizes each graph build;
-    - otherwise, with a pool of width > 1, each procedure is one pool
-      task with a private context (contexts are single-threaded) and
-      the result list keeps procedure order;
-    - otherwise one fresh warm context serves the whole batch. *)
+(** The suite runners every driver shares: a warm-context batch under
+    one heuristic, and the heuristic-comparison matrix as one task DAG. *)
 
 (** The shared pool when [RA_JOBS] / the core count asks for
     parallelism; [None] on a sequential run. *)
 val default_pool : unit -> Ra_support.Pool.t option
 
-(** [map_procs machine ~f procs] runs [f context proc] for every
-    procedure under the policy above. [pool] defaults to
-    {!default_pool}; [edge_cache] is passed to created contexts
-    (ignored when [context] is given). *)
-val map_procs :
-  ?pool:Ra_support.Pool.t option ->
-  ?context:Context.t ->
-  ?edge_cache:bool ->
-  Machine.t ->
-  f:(Context.t -> Ra_ir.Proc.t -> 'a) ->
-  Ra_ir.Proc.t list ->
-  'a list
-
-(** [allocate_all machine heuristic procs]: {!map_procs} specialized to
-    {!Allocator.allocate}, results in procedure order. *)
+(** [allocate_all machine heuristic procs] allocates the procedures one
+    after another with {!Allocator.allocate} over one warm context —
+    [context] when given (its buffers and stats stay warm across the
+    whole batch), else one fresh context made with [edge_cache]. The
+    context's own pool still parallelizes each graph build. Results in
+    procedure order. *)
 val allocate_all :
-  ?pool:Ra_support.Pool.t option ->
   ?context:Context.t ->
   ?edge_cache:bool ->
   ?verify:bool ->
@@ -47,9 +26,10 @@ val allocate_all :
     The whole matrix is one work-stealing task DAG: per procedure, a
     shared first-pass Build fans out to one stage-task chain per
     heuristic, with dependency edges derived from declared footprints
-    ({!Pipeline.submit_dag}). Results are bit-identical to one
-    sequential {!allocate_all} per heuristic. The allocation options
-    mirror {!Allocator.allocate}'s and apply to every cell. [scheduler]
+    ({!Pipeline.submit_dag}). Each stage task is a stage of the one
+    pass chain {!Pipeline.run} takes inline, so results are identical
+    to one sequential {!allocate_all} per heuristic. The allocation
+    options mirror {!Allocator.allocate}'s and apply to every cell. [scheduler]
     overrides the process-global scheduler — tests sweep widths with
     private instances. [tele] overrides the ambient telemetry sink, so
     harnesses can collect the run's counters without configuring

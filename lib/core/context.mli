@@ -47,11 +47,15 @@ type stats = {
 
 type t
 
+(** Whether [RA_VERIFY] asks for verification: set, non-empty and not
+    ["0"]. Read once at startup; the default of every [verify] option in
+    {!create}, {!Allocator.allocate} and {!Batch.allocate_matrix}. *)
+val verify_default : bool
+
 (** [create machine] makes an empty context. [incremental] defaults to
     the [RA_INCREMENTAL] environment variable (unset or any value but
-    ["0"] means enabled); [verify] to [RA_VERIFY] (enabled when set
-    non-empty and not ["0"]); [edge_cache] to [RA_EDGE_CACHE] (unset or
-    any value but ["0"] means enabled).
+    ["0"] means enabled); [verify] to {!verify_default}; [edge_cache] to
+    [RA_EDGE_CACHE] (unset or any value but ["0"] means enabled).
 
     [tele] is the telemetry sink every pass built over this context
     reports into; it defaults to the process-wide

@@ -107,13 +107,20 @@ let coalesce_mode_of (cfgn : config) (heuristic : Heuristic.t) :
 
 (* ---- the state one allocation threads through its passes ---- *)
 
+(* How the pass chain takes each of its arrows: run the next stage now,
+   or hand it to a scheduler. [stage] names the stage for task labels. *)
+type step = stage:string -> (unit -> unit) -> unit
+
 type state = {
   cfgn : config;
   machine : Machine.t;
   heuristic : Heuristic.t;
   ctx : Context.t;
   tele : Telemetry.t;
+  original : Proc.t; (* the untouched input, for [irc_fallback]'s rerun *)
   proc : Proc.t; (* the working copy; spill passes mutate its code *)
+  step : step;
+  deliver : outcome -> unit; (* receives the chain's final outcome *)
   spill_vreg_ids : (int * Reg.cls, unit) Hashtbl.t;
   mutable live_ranges : int;
   mutable total_spilled : int;
@@ -146,11 +153,30 @@ module Lint_pass = struct
           end)
 end
 
+(* What one pass's Build hands to its coloring. *)
+type built_pass = {
+  cfg : Cfg.t;
+  webs : Webs.t;
+  built : Build.t;
+  costs_int : float array;
+  costs_flt : float array;
+}
+
 module Build_pass = struct
   let phase = Phase.Build
 
-  (* Graph construction and spill costs are one phase in the paper's
-     accounting, so both record under Build. *)
+  (* Spill costs belong to Build in the paper's accounting. The per-web
+     costs are class-independent: compute them once and project both
+     class graphs from the same array. *)
+  let with_costs cfgn tele ~timer ~cfg ~webs built proc =
+    Telemetry.span tele ~timer phase (fun () ->
+      let rep_costs = Build.rep_costs ~base:cfgn.spill_base built proc in
+      { cfg;
+        webs;
+        built;
+        costs_int = Build.node_costs ~rep_costs built proc Reg.Int_reg;
+        costs_flt = Build.node_costs ~rep_costs built proc Reg.Flt_reg })
+
   let run st ~timer ~edit =
     let cfg, webs, built =
       Telemetry.span st.tele ~timer phase (fun () ->
@@ -159,15 +185,7 @@ module Build_pass = struct
             Hashtbl.mem st.spill_vreg_ids (r.id, r.cls))
           ~mode:(coalesce_mode_of st.cfgn st.heuristic) ~edit)
     in
-    let costs_int, costs_flt =
-      Telemetry.span st.tele ~timer phase (fun () ->
-        (* the per-web costs are class-independent: compute them once
-           and project both class graphs from the same array *)
-        let rep_costs = Build.rep_costs ~base:st.cfgn.spill_base built st.proc in
-        ( Build.node_costs ~rep_costs built st.proc Reg.Int_reg,
-          Build.node_costs ~rep_costs built st.proc Reg.Flt_reg ))
-    in
-    cfg, webs, built, costs_int, costs_flt
+    with_costs st.cfgn st.tele ~timer ~cfg ~webs built st.proc
 end
 
 module Color_pass = struct
@@ -409,21 +427,37 @@ module Verify_pass = struct
     end
 end
 
-(* ---- the driver ---- *)
+(* ---- the pass chain ----
 
-let record_pass ?(coalesced = 0) st ~timer ~pass_index ~webs ~built ~k_int
-    ~k_flt ~spilled ~spill_cost =
+   Figure 4's loop, written once:
+
+     color → rewrite → finish
+       ↓
+     spill → build → color → ...
+
+   Every arrow is taken through the state's [step]. The sequential
+   driver ({!run}) calls the next stage inline; the DAG driver
+   ({!submit_dag}) submits it as a scheduler task. Both drivers run the
+   same stages, in the same order, on the same structures. *)
+
+let record_pass ?(coalesced = 0) st ~timer ~pass_index (b : built_pass)
+    ~spilled ~spill_cost =
+  let built = b.built in
   let r =
     { pass_index;
-      webs_initial = Webs.n_webs webs;
+      webs_initial = Webs.n_webs b.webs;
       (* classic heuristics merge aggressively in Build
          ([moves_coalesced]); an irc pass can contribute both the
          Briggs-gated merges of its Conservative build fixpoint and the
          worklist drive's merges ([coalesced]) — the sum reads as "this
          pass's merges" either way *)
       webs_coalesced = built.Build.moves_coalesced + coalesced;
-      nodes_int = Igraph.n_nodes built.Build.int_graph - k_int;
-      nodes_flt = Igraph.n_nodes built.Build.flt_graph - k_flt;
+      nodes_int =
+        Igraph.n_nodes built.Build.int_graph
+        - Machine.regs st.machine Reg.Int_reg;
+      nodes_flt =
+        Igraph.n_nodes built.Build.flt_graph
+        - Machine.regs st.machine Reg.Flt_reg;
       edges_int = Igraph.n_edges built.Build.int_graph;
       edges_flt = Igraph.n_edges built.Build.flt_graph;
       spilled;
@@ -442,159 +476,185 @@ let record_pass ?(coalesced = 0) st ~timer ~pass_index ~webs ~built ~k_int
   Telemetry.counter st.tele "edge_cache.hits" r.cache_hits;
   Telemetry.counter st.tele "edge_cache.misses" r.cache_misses
 
-let rec run_pass st pass_index ~edit =
-  if pass_index > st.cfgn.max_passes then
-    fail "%s: no convergence after %d passes" st.proc.Proc.name
-      st.cfgn.max_passes;
+(* Both class graphs colored, and their spill decisions expanded. *)
+type election = {
+  out_int : Heuristic.outcome;
+  out_flt : Heuristic.outcome;
+  groups_int : int list list;
+  groups_flt : int list list;
+  cost_int : float;
+  cost_flt : float;
+}
+
+let elect st ~timer ?irc ?moves (b : built_pass) =
+  let out_int =
+    Color_pass.run st ~timer ?irc ?moves b.built Reg.Int_reg
+      ~costs:b.costs_int
+  in
+  let out_flt =
+    Color_pass.run st ~timer ?irc ?moves b.built Reg.Flt_reg
+      ~costs:b.costs_flt
+  in
+  let groups_int, cost_int =
+    Spill_elect.run st ~timer b.built Reg.Int_reg b.costs_int out_int
+  in
+  let groups_flt, cost_flt =
+    Spill_elect.run st ~timer b.built Reg.Flt_reg b.costs_flt out_flt
+  in
+  { out_int; out_flt; groups_int; groups_flt; cost_int; cost_flt }
+
+let n_groups e = List.length e.groups_int + List.length e.groups_flt
+
+let spilling = function
+  | Heuristic.Spill _ -> true
+  | Heuristic.Colored _ -> false
+
+let new_state cfgn ~context machine heuristic (original : Proc.t) ~step
+    ~deliver =
+  { cfgn;
+    machine;
+    heuristic;
+    ctx = context;
+    tele = Context.telemetry context;
+    original;
+    proc = copy_proc original;
+    step;
+    deliver;
+    spill_vreg_ids = Hashtbl.create 16;
+    live_ranges = 0;
+    total_spilled = 0;
+    total_spill_cost = 0.0;
+    passes_rev = [] }
+
+(* The sequential driver: one complete allocation of [original] under
+   [cfgn] — fresh state, lint, then the chain with every arrow taken
+   inline. *)
+let rec alloc cfgn ~context machine heuristic (original : Proc.t) : outcome =
+  let result = ref None in
+  let st =
+    new_state cfgn ~context machine heuristic original
+      ~step:(fun ~stage:_ f -> f ())
+      ~deliver:(fun o -> result := Some o)
+  in
+  Lint_pass.run st ~stage:"input lint" original;
+  Context.begin_proc st.ctx;
+  build st 1 ~edit:None;
+  match !result with Some o -> o | None -> assert false
+
+(* Inline, the Pass span encloses the rest of the allocation, later
+   passes nested inside it; on the scheduler it closes with the build
+   task. *)
+and build st pass_index ~edit =
   Telemetry.span st.tele Phase.Pass
     ~args:(fun () ->
       [ "proc", st.proc.Proc.name; "pass", string_of_int pass_index ])
     (fun () ->
       let timer = Timer.create () in
-      let cfg, webs, built, costs_int, costs_flt =
-        Build_pass.run st ~timer ~edit
-      in
-      if pass_index = 1 then st.live_ranges <- Webs.n_webs webs;
-      let k_int = Machine.regs st.machine Reg.Int_reg in
-      let k_flt = Machine.regs st.machine Reg.Flt_reg in
-      (* irc: one stats record spans both class graphs of the pass, and a
-         snapshot of the web aliasing guards the conservative merges the
-         coloring is about to speculate into [built.Build.alias] *)
-      let irc =
-        match st.heuristic with
-        | Heuristic.Irc -> Some (Irc.fresh_stats ())
-        | Heuristic.Chaitin | Heuristic.Briggs | Heuristic.Matula -> None
-      in
-      let alias_snap =
-        match irc with
-        | Some _ -> Some (Union_find.snapshot built.Build.alias)
-        | None -> None
-      in
-      let out_int = Color_pass.run st ~timer ?irc built Reg.Int_reg ~costs:costs_int in
-      let out_flt = Color_pass.run st ~timer ?irc built Reg.Flt_reg ~costs:costs_flt in
-      let coalesced =
-        match irc with Some s -> s.Irc.combined | None -> 0
-      in
-      let groups_int, cost_int =
-        Spill_elect.run st ~timer built Reg.Int_reg costs_int out_int
-      in
-      let groups_flt, cost_flt =
-        Spill_elect.run st ~timer built Reg.Flt_reg costs_flt out_flt
-      in
-      (* spill grouping above ran through the coalesced forest on
-         purpose: spilling a combined node spills every member web into
-         the shared slot, matching the combined cost/degree basis the
-         election used. Only *after* that does a spilling pass abandon
-         its conservative merges, so the next pass's incremental build
-         sees the pristine partition (the edge cache replays
-         web-granular pairs through this same forest). *)
-      let spilling = function
-        | Heuristic.Spill _ -> true
-        | Heuristic.Colored _ -> false
-      in
-      (match alias_snap with
-       | Some snap when spilling out_int || spilling out_flt ->
-         Union_find.restore built.Build.alias snap
-       | Some _ | None -> ());
-      (* The conservative tests guarantee merges keep a *simplifiable*
-         graph simplifiable; on a pass that spills anyway, the graph
-         was not simplifiable and the worklist merges can still degrade
-         the optimistic election. Since a spilling pass discards its
-         merges regardless, redo the coloring move-blind on the rewound
-         forest and keep it unless the coalesced election spilled
-         strictly fewer groups. This is a local improvement, not the
-         guarantee: the Conservative build's own Briggs-gated merges
-         are baked into the graph both elections color, so the elected
-         *webs* can still differ from the Off trajectory's, and later
-         passes can diverge by a spill. The whole-allocation guarantee
-         ("coalescing never costs spills") is [irc_fallback] below. *)
-      let out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt,
-          coalesced =
-        match alias_snap with
-        | Some _
-          when (spilling out_int || spilling out_flt)
-               && Array.length built.Build.moves_int
-                  + Array.length built.Build.moves_flt
-                  > 0 ->
-          let out_int' =
-            Color_pass.run st ~timer ?irc ~moves:[||] built Reg.Int_reg
-              ~costs:costs_int
-          in
-          let out_flt' =
-            Color_pass.run st ~timer ?irc ~moves:[||] built Reg.Flt_reg
-              ~costs:costs_flt
-          in
-          let groups_int', cost_int' =
-            Spill_elect.run st ~timer built Reg.Int_reg costs_int out_int'
-          in
-          let groups_flt', cost_flt' =
-            Spill_elect.run st ~timer built Reg.Flt_reg costs_flt out_flt'
-          in
-          if List.length groups_int' + List.length groups_flt'
-             <= List.length groups_int + List.length groups_flt
-          then out_int', out_flt', groups_int', cost_int', groups_flt',
-               cost_flt', 0
-          else out_int, out_flt, groups_int, cost_int, groups_flt,
-               cost_flt, coalesced
-        | Some _ | None ->
-          out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt,
-          coalesced
-      in
-      let n_spilled = List.length groups_int + List.length groups_flt in
-      if n_spilled = 0 then begin
-        match out_int, out_flt with
-        | Heuristic.Colored colors_int, Heuristic.Colored colors_flt ->
-          record_pass ~coalesced st ~timer ~pass_index ~webs ~built ~k_int
-            ~k_flt ~spilled:0 ~spill_cost:0.0;
-          Rewrite_pass.run st ~cfg ~built ~colors_int ~colors_flt
-        | (Heuristic.Colored _ | Heuristic.Spill _), _ -> assert false
-      end
-      else begin
-        let spill_cost = cost_int +. cost_flt in
-        Spill_elect.check_spillable st ~pass_index ~k_int ~k_flt ~spill_cost
-          (costs_int, out_int) (costs_flt, out_flt);
-        st.total_spilled <- st.total_spilled + n_spilled;
-        st.total_spill_cost <- st.total_spill_cost +. spill_cost;
-        Telemetry.counter st.tele "alloc.spilled" n_spilled;
-        Spill_insert.emit_dump st ~pass_index ~webs ~n_spilled ~spill_cost
-          ~k_int ~k_flt ~groups_int ~groups_flt;
-        let sp =
-          Spill_insert.run st ~timer webs ~groups:(groups_int @ groups_flt)
-        in
-        record_pass ~coalesced st ~timer ~pass_index ~webs ~built ~k_int
-          ~k_flt ~spilled:n_spilled ~spill_cost;
-        run_pass st (pass_index + 1) ~edit:(Some sp)
-      end)
+      let b = Build_pass.run st ~timer ~edit in
+      st.step ~stage:"color" (fun () -> color st pass_index ~timer b))
 
-(* One complete allocation of [original] under [cfgn]: fresh pass state,
-   fresh working copy, lint → pass loop → verify. [run] and the DAG
-   rewrite task both call it a second time for [irc_fallback]. *)
-let alloc_once cfgn ~context machine heuristic (original : Proc.t) : outcome
-    =
-  let st =
-    { cfgn;
-      machine;
-      heuristic;
-      ctx = context;
-      tele = Context.telemetry context;
-      proc = copy_proc original;
-      spill_vreg_ids = Hashtbl.create 16;
-      live_ranges = 0;
-      total_spilled = 0;
-      total_spill_cost = 0.0;
-      passes_rev = [] }
+and color st pass_index ~timer (b : built_pass) =
+  if pass_index > st.cfgn.max_passes then
+    fail "%s: no convergence after %d passes" st.proc.Proc.name
+      st.cfgn.max_passes;
+  if pass_index = 1 then st.live_ranges <- Webs.n_webs b.webs;
+  (* irc: one stats record spans both class graphs of the pass, and a
+     snapshot of the web aliasing guards the conservative merges the
+     coloring is about to speculate into [b.built.Build.alias] *)
+  let irc =
+    match st.heuristic with
+    | Heuristic.Irc -> Some (Irc.fresh_stats ())
+    | Heuristic.Chaitin | Heuristic.Briggs | Heuristic.Matula -> None
   in
-  Lint_pass.run st ~stage:"input lint" original;
-  Context.begin_proc st.ctx;
-  let allocated, moves_removed = run_pass st 1 ~edit:None in
+  let alias_snap =
+    Option.map (fun _ -> Union_find.snapshot b.built.Build.alias) irc
+  in
+  let e = elect st ~timer ?irc b in
+  let coalesced = match irc with Some s -> s.Irc.combined | None -> 0 in
+  (* Spill grouping above ran through the coalesced forest on purpose:
+     spilling a combined node spills every member web into the shared
+     slot, matching the combined cost/degree basis the election used.
+     Only *after* that does a spilling pass abandon its conservative
+     merges, so the next pass's incremental build sees the pristine
+     partition (the edge cache replays web-granular pairs through this
+     same forest).
+
+     The conservative tests guarantee merges keep a *simplifiable* graph
+     simplifiable; on a pass that spills anyway, the graph was not
+     simplifiable and the worklist merges can still degrade the
+     optimistic election. Since a spilling pass discards its merges
+     regardless, redo the coloring move-blind on the rewound forest and
+     keep it unless the coalesced election spilled strictly fewer
+     groups. This is a local improvement, not the guarantee: the
+     Conservative build's own Briggs-gated merges are baked into the
+     graph both elections color, so the elected *webs* can still differ
+     from the Off trajectory's, and later passes can diverge by a spill.
+     The whole-allocation guarantee ("coalescing never costs spills") is
+     [irc_fallback] in [finish]. *)
+  let e, coalesced =
+    match alias_snap with
+    | Some snap when spilling e.out_int || spilling e.out_flt ->
+      Union_find.restore b.built.Build.alias snap;
+      if Array.length b.built.Build.moves_int
+         + Array.length b.built.Build.moves_flt
+         > 0
+      then begin
+        let blind = elect st ~timer ?irc ~moves:[||] b in
+        if n_groups blind <= n_groups e then blind, 0 else e, coalesced
+      end
+      else e, coalesced
+    | Some _ | None -> e, coalesced
+  in
+  let n_spilled = n_groups e in
+  if n_spilled = 0 then begin
+    match e.out_int, e.out_flt with
+    | Heuristic.Colored colors_int, Heuristic.Colored colors_flt ->
+      st.step ~stage:"rewrite" (fun () ->
+        record_pass ~coalesced st ~timer ~pass_index b ~spilled:0
+          ~spill_cost:0.0;
+        finish st
+          (Rewrite_pass.run st ~cfg:b.cfg ~built:b.built ~colors_int
+             ~colors_flt))
+    | (Heuristic.Colored _ | Heuristic.Spill _), _ -> assert false
+  end
+  else begin
+    let k_int = Machine.regs st.machine Reg.Int_reg in
+    let k_flt = Machine.regs st.machine Reg.Flt_reg in
+    let spill_cost = e.cost_int +. e.cost_flt in
+    Spill_elect.check_spillable st ~pass_index ~k_int ~k_flt ~spill_cost
+      (b.costs_int, e.out_int) (b.costs_flt, e.out_flt);
+    st.total_spilled <- st.total_spilled + n_spilled;
+    st.total_spill_cost <- st.total_spill_cost +. spill_cost;
+    Telemetry.counter st.tele "alloc.spilled" n_spilled;
+    st.step ~stage:"spill" (fun () ->
+      Spill_insert.emit_dump st ~pass_index ~webs:b.webs ~n_spilled
+        ~spill_cost ~k_int ~k_flt ~groups_int:e.groups_int
+        ~groups_flt:e.groups_flt;
+      let sp =
+        Spill_insert.run st ~timer b.webs
+          ~groups:(e.groups_int @ e.groups_flt)
+      in
+      record_pass ~coalesced st ~timer ~pass_index b ~spilled:n_spilled
+        ~spill_cost;
+      st.step ~stage:"build" (fun () ->
+        build st (pass_index + 1) ~edit:(Some sp)))
+  end
+
+(* Verify the rewritten procedure, assemble the outcome and hand it on,
+   after [irc_fallback]. The fallback's rerun is one more sequential
+   allocation: in the DAG it runs inside this task, over the pipeline's
+   private context and its own copy of the input. *)
+and finish st (allocated, moves_removed) =
   Verify_pass.run st allocated;
   Telemetry.counter st.tele "alloc.moves_removed" moves_removed;
-  { proc = allocated;
-    passes = List.rev st.passes_rev;
-    live_ranges = st.live_ranges;
-    total_spilled = st.total_spilled;
-    total_spill_cost = st.total_spill_cost;
-    moves_removed }
+  st.deliver
+    (irc_fallback st
+       { proc = allocated;
+         passes = List.rev st.passes_rev;
+         live_ranges = st.live_ranges;
+         total_spilled = st.total_spilled;
+         total_spill_cost = st.total_spill_cost;
+         moves_removed })
 
 (* The conservative-coalescing guarantee, enforced globally. The
    per-pass move-blind retry cannot deliver it: the Conservative build's
@@ -607,18 +667,16 @@ let alloc_once cfgn ~context machine heuristic (original : Proc.t) : outcome
    [~coalesce:false] baseline — and keep the coalesced outcome only if
    it spilled no more webs. Ties prefer the coalesced outcome (it
    removed moves). Spill-free allocations never pay for the rerun. *)
-let irc_fallback cfgn ~context machine heuristic (original : Proc.t)
-    (first : outcome) : outcome =
-  match heuristic with
-  | Heuristic.Irc when cfgn.coalesce && first.total_spilled > 0 ->
-    let tele = Context.telemetry context in
-    Telemetry.counter tele "irc.fallback_runs" 1;
+and irc_fallback st (first : outcome) : outcome =
+  match st.heuristic with
+  | Heuristic.Irc when st.cfgn.coalesce && first.total_spilled > 0 ->
+    Telemetry.counter st.tele "irc.fallback_runs" 1;
     (match
-       alloc_once { cfgn with coalesce = false } ~context machine heuristic
-         original
+       alloc { st.cfgn with coalesce = false } ~context:st.ctx st.machine
+         st.heuristic st.original
      with
      | off when off.total_spilled < first.total_spilled ->
-       Telemetry.counter tele "irc.fallback_kept" 1;
+       Telemetry.counter st.tele "irc.fallback_kept" 1;
        off
      | _ -> first
      | exception Allocation_failure _ ->
@@ -628,14 +686,22 @@ let irc_fallback cfgn ~context machine heuristic (original : Proc.t)
     ->
     first
 
-(* ---- the DAG decomposition ----
+let run cfgn ~context machine heuristic (original : Proc.t) : outcome =
+  let tele = Context.telemetry context in
+  Telemetry.span tele Phase.Alloc
+    ~args:(fun () ->
+      [ "proc", original.Proc.name; "heuristic", Heuristic.name heuristic ])
+    (fun () ->
+      Telemetry.counter tele "alloc.procs" 1;
+      alloc cfgn ~context machine heuristic original)
 
-   The same stage modules, restructured as dependency-carrying tasks on
-   a {!Scheduler}: per procedure, ONE shared first-pass Build fans out
-   to one pipeline per heuristic, and each pipeline advances as a chain
-   of stage tasks (color → spill → build → color → ... → rewrite) that
-   submit their successor from inside themselves — the spill-driven
-   pass loop needs no upfront unrolling.
+(* ---- the DAG driver ----
+
+   The same chain, with every arrow a task on a {!Scheduler}: per
+   procedure, ONE shared first-pass Build fans out to one pipeline per
+   heuristic, and each pipeline enters the chain at [color]. Each stage
+   submits its successor from inside itself, so the spill-driven pass
+   loop needs no upfront unrolling.
 
    Dependencies are declared, not wired: every stage task of a pipeline
    writes that pipeline's [State] token (so the chain serializes in
@@ -653,25 +719,16 @@ let irc_fallback cfgn ~context machine heuristic (original : Proc.t)
    pipeline mutates — its procedure copy, its context's scratch graphs
    and edge cache — is private to it.
 
-   Outcomes are engineered to be bit-identical to the sequential
-   driver's: the stages run in the same relative order within a
-   pipeline, on the same structures (the shared build is exactly the
-   scratch build every pipeline's pass 1 would have produced — same
-   code, same webs, no spill temps yet), so the DAG is a schedule of
-   the sequential driver, not a different allocator. *)
+   Outcomes equal the sequential driver's: the shared build is exactly
+   the scratch build every pipeline's pass 1 would have produced (same
+   code, same webs, no spill temps yet), and from there both drivers
+   run the one chain. *)
 
-type shared_build = {
-  sb_cfg : Cfg.t;
-  sb_webs : Webs.t;
-  sb_built : Build.t;
-  sb_costs_int : float array;
-  sb_costs_flt : float array;
-  sb_build_time : float;
-    (* the build's timer seconds; charged to each consuming pipeline's
-       pass-1 record — per allocation, "the build this pass used took
-       this long", even though the fan-out ran it once *)
-}
-
+(* The shared first-pass Build and its timer seconds. The seconds are
+   charged to each consuming pipeline's pass-1 record — per allocation,
+   "the build this pass used took this long", even though the fan-out
+   ran it once. The build is context-free on purpose: the fan-out must
+   not share any pipeline's scratch graphs. *)
 let build_shared cfgn machine ~tele ?pool ?cache ~mode (proc : Proc.t) =
   (* input lint once: byte-identical input for every pipeline of the
      fan-out, so one verdict serves them all *)
@@ -693,12 +750,7 @@ let build_shared cfgn machine ~tele ?pool ?cache ~mode (proc : Proc.t) =
       in
       cfg, webs, built)
   in
-  let costs_int, costs_flt =
-    Telemetry.span tele ~timer Phase.Build (fun () ->
-      let rep_costs = Build.rep_costs ~base:cfgn.spill_base built proc in
-      ( Build.node_costs ~rep_costs built proc Reg.Int_reg,
-        Build.node_costs ~rep_costs built proc Reg.Flt_reg ))
-  in
+  let b = Build_pass.with_costs cfgn tele ~timer ~cfg ~webs built proc in
   (* Fully compress the alias forest while we are its only owner: the
      concurrent pipelines' [Union_find.find]s (spill grouping, node
      lookup) then follow one-link paths, and the only write any of them
@@ -707,190 +759,18 @@ let build_shared cfgn machine ~tele ?pool ?cache ~mode (proc : Proc.t) =
   for w = 0 to Union_find.size built.Build.alias - 1 do
     ignore (Union_find.find built.Build.alias w)
   done;
-  { sb_cfg = cfg;
-    sb_webs = webs;
-    sb_built = built;
-    sb_costs_int = costs_int;
-    sb_costs_flt = costs_flt;
-    sb_build_time = Timer.elapsed timer ~phase:Phase.Build }
+  b, Timer.elapsed timer ~phase:Phase.Build
 
 (* [State] tokens name serialization, not storage: one per shared build
    (read by its fan-out), one per pipeline (written by every stage of
    the chain). Process-unique so unrelated procedures never alias. *)
 let next_state_token = Atomic.make 0
 
-type dag_pipe = {
-  dp_st : state;
-  dp_sched : Scheduler.t;
-  dp_fp : Footprint.t; (* reads its shared build, writes its pipeline *)
-  dp_label : string; (* "<proc>:<heuristic>" *)
-  dp_k_int : int;
-  dp_k_flt : int;
-  dp_original : Proc.t; (* untouched input, for [irc_fallback]'s rerun *)
-  dp_slot : outcome option ref;
-}
-
-let dag_submit dp ~stage fn =
-  ignore
-    (Scheduler.submit dp.dp_sched
-       ~name:(stage ^ ":" ^ dp.dp_label)
-       ~footprint:dp.dp_fp fn)
-
-(* The stage tasks. Control flow mirrors [run_pass] exactly — same
-   stages, same order, same failure points — but each arrow of the
-   chain is a task submission instead of a call. *)
-let rec dag_color dp pass_index ~timer ~cfg ~webs ~built ~costs_int
-    ~costs_flt =
-  let st = dp.dp_st in
-  if pass_index > st.cfgn.max_passes then
-    fail "%s: no convergence after %d passes" st.proc.Proc.name
-      st.cfgn.max_passes;
-  if pass_index = 1 then st.live_ranges <- Webs.n_webs webs;
-  (* mirrors run_pass: per-pass irc stats and the alias-forest snapshot
-     guarding the conservative merges (irc pipelines own their build
-     privately — see submit_dag — so the mutation is race-free) *)
-  let irc =
-    match st.heuristic with
-    | Heuristic.Irc -> Some (Irc.fresh_stats ())
-    | Heuristic.Chaitin | Heuristic.Briggs | Heuristic.Matula -> None
-  in
-  let alias_snap =
-    match irc with
-    | Some _ -> Some (Union_find.snapshot built.Build.alias)
-    | None -> None
-  in
-  let out_int = Color_pass.run st ~timer ?irc built Reg.Int_reg ~costs:costs_int in
-  let out_flt = Color_pass.run st ~timer ?irc built Reg.Flt_reg ~costs:costs_flt in
-  let coalesced = match irc with Some s -> s.Irc.combined | None -> 0 in
-  let groups_int, cost_int =
-    Spill_elect.run st ~timer built Reg.Int_reg costs_int out_int
-  in
-  let groups_flt, cost_flt =
-    Spill_elect.run st ~timer built Reg.Flt_reg costs_flt out_flt
-  in
-  (* as in run_pass: group through the coalesced forest (a spilled
-     combined node spills all member webs into one slot), rewind the
-     speculative merges, then give a spilling pass its move-blind
-     retry and keep whichever election spills fewer groups — a local
-     improvement; the global guarantee is [irc_fallback] at rewrite *)
-  let spilling = function
-    | Heuristic.Spill _ -> true
-    | Heuristic.Colored _ -> false
-  in
-  (match alias_snap with
-   | Some snap when spilling out_int || spilling out_flt ->
-     Union_find.restore built.Build.alias snap
-   | Some _ | None -> ());
-  let out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt, coalesced =
-    match alias_snap with
-    | Some _
-      when (spilling out_int || spilling out_flt)
-           && Array.length built.Build.moves_int
-              + Array.length built.Build.moves_flt
-              > 0 ->
-      let out_int' =
-        Color_pass.run st ~timer ?irc ~moves:[||] built Reg.Int_reg
-          ~costs:costs_int
-      in
-      let out_flt' =
-        Color_pass.run st ~timer ?irc ~moves:[||] built Reg.Flt_reg
-          ~costs:costs_flt
-      in
-      let groups_int', cost_int' =
-        Spill_elect.run st ~timer built Reg.Int_reg costs_int out_int'
-      in
-      let groups_flt', cost_flt' =
-        Spill_elect.run st ~timer built Reg.Flt_reg costs_flt out_flt'
-      in
-      if List.length groups_int' + List.length groups_flt'
-         <= List.length groups_int + List.length groups_flt
-      then out_int', out_flt', groups_int', cost_int', groups_flt',
-           cost_flt', 0
-      else out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt,
-           coalesced
-    | Some _ | None ->
-      out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt, coalesced
-  in
-  let n_spilled = List.length groups_int + List.length groups_flt in
-  if n_spilled = 0 then begin
-    match out_int, out_flt with
-    | Heuristic.Colored colors_int, Heuristic.Colored colors_flt ->
-      dag_submit dp ~stage:"rewrite" (fun () ->
-        dag_rewrite dp ~timer ~pass_index ~coalesced ~cfg ~webs ~built
-          ~colors_int ~colors_flt)
-    | (Heuristic.Colored _ | Heuristic.Spill _), _ -> assert false
-  end
-  else begin
-    let spill_cost = cost_int +. cost_flt in
-    Spill_elect.check_spillable st ~pass_index ~k_int:dp.dp_k_int
-      ~k_flt:dp.dp_k_flt ~spill_cost (costs_int, out_int)
-      (costs_flt, out_flt);
-    st.total_spilled <- st.total_spilled + n_spilled;
-    st.total_spill_cost <- st.total_spill_cost +. spill_cost;
-    Telemetry.counter st.tele "alloc.spilled" n_spilled;
-    dag_submit dp ~stage:"spill" (fun () ->
-      dag_spill dp pass_index ~timer ~coalesced ~webs ~built ~n_spilled
-        ~spill_cost ~groups_int ~groups_flt)
-  end
-
-and dag_spill dp pass_index ~timer ~coalesced ~webs ~built ~n_spilled
-    ~spill_cost ~groups_int ~groups_flt =
-  let st = dp.dp_st in
-  Spill_insert.emit_dump st ~pass_index ~webs ~n_spilled ~spill_cost
-    ~k_int:dp.dp_k_int ~k_flt:dp.dp_k_flt ~groups_int ~groups_flt;
-  let sp = Spill_insert.run st ~timer webs ~groups:(groups_int @ groups_flt) in
-  record_pass ~coalesced st ~timer ~pass_index ~webs ~built ~k_int:dp.dp_k_int
-    ~k_flt:dp.dp_k_flt ~spilled:n_spilled ~spill_cost;
-  dag_submit dp ~stage:"build" (fun () -> dag_build dp (pass_index + 1) ~edit:sp)
-
-and dag_build dp pass_index ~edit =
-  let st = dp.dp_st in
-  let timer = Timer.create () in
-  let cfg, webs, built, costs_int, costs_flt =
-    Build_pass.run st ~timer ~edit:(Some edit)
-  in
-  dag_submit dp ~stage:"color" (fun () ->
-    dag_color dp pass_index ~timer ~cfg ~webs ~built ~costs_int ~costs_flt)
-
-and dag_rewrite dp ~timer ~pass_index ~coalesced ~cfg ~webs ~built
-    ~colors_int ~colors_flt =
-  let st = dp.dp_st in
-  record_pass ~coalesced st ~timer ~pass_index ~webs ~built ~k_int:dp.dp_k_int
-    ~k_flt:dp.dp_k_flt ~spilled:0 ~spill_cost:0.0;
-  let allocated, moves_removed =
-    Rewrite_pass.run st ~cfg ~built ~colors_int ~colors_flt
-  in
-  Verify_pass.run st allocated;
-  Telemetry.counter st.tele "alloc.moves_removed" moves_removed;
-  let first =
-    { proc = allocated;
-      passes = List.rev st.passes_rev;
-      live_ranges = st.live_ranges;
-      total_spilled = st.total_spilled;
-      total_spill_cost = st.total_spill_cost;
-      moves_removed }
-  in
-  (* the fallback rerun is ordinary sequential allocation inside this
-     task — it touches only the pipeline's private context and its own
-     fresh copy of the input, so the fan-out's sharing argument and the
-     declared footprint both still hold *)
-  dp.dp_slot :=
-    Some
-      (irc_fallback st.cfgn ~context:st.ctx st.machine st.heuristic
-         dp.dp_original first)
-
-let dag_start dp shared =
-  let st = dp.dp_st in
-  Telemetry.counter st.tele "alloc.procs" 1;
-  (* plant the shared build as this context's previous pass, so a spill
-     pass patches it incrementally — exactly what a sequential pass 1
-     would have left behind *)
-  Context.adopt_prev st.ctx ~cfg:shared.sb_cfg ~built:shared.sb_built;
-  let timer = Timer.create () in
-  Timer.add timer ~phase:Phase.Build shared.sb_build_time;
-  dag_color dp 1 ~timer ~cfg:shared.sb_cfg ~webs:shared.sb_webs
-    ~built:shared.sb_built ~costs_int:shared.sb_costs_int
-    ~costs_flt:shared.sb_costs_flt
+(* A pipeline's [step]: submit the stage under the pipeline's
+   footprint. *)
+let dag_submit sched ~label ~footprint : step =
+ fun ~stage fn ->
+  ignore (Scheduler.submit sched ~name:(stage ^ ":" ^ label) ~footprint fn)
 
 let submit_dag sched cfgn machine ~tele ?bpool ?(edge_cache = true)
     ~pipelines (original : Proc.t) =
@@ -932,56 +812,38 @@ let submit_dag sched cfgn machine ~tele ?bpool ?(edge_cache = true)
   in
   List.map
     (fun (heuristic, ctx) ->
+      let label = original.Proc.name ^ ":" ^ Heuristic.name heuristic in
       let sb_token, cell =
         match heuristic, shared with
         | Heuristic.Irc, _ | _, None ->
-          submit_build
-            ~label:(original.Proc.name ^ ":" ^ Heuristic.name heuristic)
-            ~mode:(coalesce_mode_of cfgn heuristic)
+          submit_build ~label ~mode:(coalesce_mode_of cfgn heuristic)
         | _, Some shared -> shared
       in
       let pipe_token = Atomic.fetch_and_add next_state_token 1 in
+      let step =
+        dag_submit sched ~label
+          ~footprint:
+            { Footprint.reads = [ Footprint.State sb_token ];
+              writes = [ Footprint.State pipe_token; Footprint.Telemetry ] }
+      in
       let slot = ref None in
       let st =
-        { cfgn;
-          machine;
-          heuristic;
-          ctx;
-          tele = Context.telemetry ctx;
-          proc = copy_proc original;
-          spill_vreg_ids = Hashtbl.create 16;
-          live_ranges = 0;
-          total_spilled = 0;
-          total_spill_cost = 0.0;
-          passes_rev = [] }
+        new_state cfgn ~context:ctx machine heuristic original ~step
+          ~deliver:(fun o -> slot := Some o)
       in
-      let dp =
-        { dp_st = st;
-          dp_sched = sched;
-          dp_fp =
-            { Footprint.reads = [ Footprint.State sb_token ];
-              writes = [ Footprint.State pipe_token; Footprint.Telemetry ] };
-          dp_label = original.Proc.name ^ ":" ^ Heuristic.name heuristic;
-          dp_k_int = Machine.regs machine Reg.Int_reg;
-          dp_k_flt = Machine.regs machine Reg.Flt_reg;
-          dp_original = original;
-          dp_slot = slot }
-      in
-      dag_submit dp ~stage:"color" (fun () ->
+      step ~stage:"color" (fun () ->
         match !cell with
-        | Some shared -> dag_start dp shared
+        | Some (b, build_time) ->
+          Telemetry.counter st.tele "alloc.procs" 1;
+          (* plant the shared build as this context's previous pass, so
+             a spill pass patches it incrementally — exactly what a
+             sequential pass 1 would have left behind *)
+          Context.adopt_prev ctx ~cfg:b.cfg ~built:b.built;
+          let timer = Timer.create () in
+          Timer.add timer ~phase:Phase.Build build_time;
+          color st 1 ~timer b
         | None ->
           (* the State edge guarantees the shared build ran first *)
           assert false);
       slot)
     pipelines
-
-let run cfgn ~context machine heuristic (original : Proc.t) : outcome =
-  let tele = Context.telemetry context in
-  Telemetry.span tele Phase.Alloc
-    ~args:(fun () ->
-      [ "proc", original.Proc.name; "heuristic", Heuristic.name heuristic ])
-    (fun () ->
-      Telemetry.counter tele "alloc.procs" 1;
-      let first = alloc_once cfgn ~context machine heuristic original in
-      irc_fallback cfgn ~context machine heuristic original first)

@@ -5,10 +5,12 @@
          → rewrite → verify
     v}
 
-    Each bracketed pass repeats until both class graphs color; every
-    stage is a named module below reporting into the shared
-    {!Ra_support.Telemetry} tree under its {!Ra_support.Phase.t} — one
-    instrumentation point per stage feeds the paper's CPU accounting
+    Each bracketed pass repeats until both class graphs color. The chain
+    is written once and run two ways: {!run} takes each arrow inline,
+    {!submit_dag} submits each as a scheduler task — so both drivers
+    run the same stages in the same order. Every stage reports into the
+    shared {!Ra_support.Telemetry} tree under its {!Ra_support.Phase.t}
+    — one instrumentation point per stage feeds the paper's CPU accounting
     (the per-pass {!pass_record} times), the structured trace, and the
     [RA_DEBUG] dump (a telemetry subscriber).
 
@@ -89,22 +91,23 @@ val spill_groups : Build.t -> Ra_ir.Reg.cls -> int list -> int list list
     allocation, counted as [irc.fallback_runs] on the telemetry sink)
     and the no-coalesce outcome is kept when it spilled strictly fewer
     webs ([irc.fallback_kept]) — conservative coalescing never costs
-    spills, whole-allocation, not merely per pass. {!submit_dag}'s
-    rewrite task applies the same fallback, so both drivers stay
-    bit-identical. *)
+    spills, whole-allocation, not merely per pass. The fallback is the
+    chain's last stage, so {!submit_dag} applies it too. *)
 val run :
   config -> context:Context.t -> Machine.t -> Heuristic.t -> Ra_ir.Proc.t ->
   outcome
 
 (** The DAG decomposition, the driver behind {!Batch.allocate_matrix}:
     submit, into the open {!Ra_support.Scheduler.run} scope of [sched],
-    one shared first-pass Build task for the procedure plus one
-    stage-task chain per [pipelines] entry (a heuristic with its own
-    single-threaded context), all dependency-ordered through declared
-    {!Ra_support.Footprint.State} tokens. Returns one result slot per
-    pipeline, filled by its rewrite task — read them only after the
-    scheduler scope has drained. Outcomes are bit-identical to {!run}
-    on the same inputs.
+    one shared first-pass Build task for the procedure, then, per
+    [pipelines] entry (a heuristic with its own single-threaded
+    context), the pass chain entered at color with every stage a task,
+    all dependency-ordered through declared
+    {!Ra_support.Footprint.State} tokens. Irc pipelines build privately
+    instead: their conservative coalescing writes the build's alias
+    forest. Returns one result slot per pipeline, filled by its last
+    stage — read them only after the scheduler scope has drained.
+    Outcomes are bit-identical to {!run} on the same inputs.
 
     [tele] is the shared build task's sink; each pipeline reports into
     its context's sink as usual. [bpool] (typically

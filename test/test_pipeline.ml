@@ -25,52 +25,58 @@ let all_heuristics = heuristics @ [ Heuristic.Irc ]
 
 (* ---- golden: the whole suite against the pre-refactor seed ---- *)
 
-(* Re-allocate every suite routine x heuristic x +/-coalesce and render
-   each outcome in the exact format of [Golden_alloc.expected] — lines
-   captured from the seed allocator before the pipeline refactor. Any
-   drift in passes, live ranges, spill totals, spill cost, coalesced
-   moves, or a convergence-failure message is a regression. (Rewritten
-   code is deliberately not part of the fingerprint: sorting spill
-   groups by representative web id permuted frame-slot numbers.) *)
-let golden () =
+(* One allocation cell rendered in the format of [Golden_alloc]'s lines:
+   passes, live ranges, spill totals, spill cost and coalesced moves, or
+   the exact failure message. (Rewritten code is deliberately not part
+   of the fingerprint: sorting spill groups by representative web id
+   permuted frame-slot numbers.) *)
+let golden_line (program : Ra_programs.Suite.program) (proc : Proc.t) h
+    ~coalesce = function
+  | Ok (r : Allocator.result) ->
+    Printf.sprintf
+      "%s/%s/%s/coalesce=%b passes=%d live=%d spilled=%d cost=%g moves=%d"
+      program.Ra_programs.Suite.pname proc.Proc.name (Heuristic.name h)
+      coalesce
+      (List.length r.Allocator.passes)
+      r.Allocator.live_ranges r.Allocator.total_spilled
+      r.Allocator.total_spill_cost r.Allocator.moves_removed
+  | Error m ->
+    Printf.sprintf "%s/%s/%s/coalesce=%b FAIL %s"
+      program.Ra_programs.Suite.pname proc.Proc.name (Heuristic.name h)
+      coalesce m
+
+(* Every suite routine x [heuristics] x +/-coalesce, each allocated on a
+   fresh context, rendered by [golden_line] in sweep order. *)
+let golden_sweep ?verify heuristics =
   let machine = Machine.rt_pc in
-  let got = ref [] in
-  List.iter
+  List.concat_map
     (fun (program : Ra_programs.Suite.program) ->
-      let procs = Ra_programs.Suite.compile program in
-      List.iter
+      List.concat_map
         (fun (proc : Proc.t) ->
-          List.iter
+          List.concat_map
             (fun h ->
-              List.iter
+              List.map
                 (fun coalesce ->
                   let ctx = Context.create machine in
-                  let line =
-                    match
-                      Allocator.allocate ~coalesce ~context:ctx machine h proc
-                    with
-                    | r ->
-                      Printf.sprintf
-                        "%s/%s/%s/coalesce=%b passes=%d live=%d spilled=%d \
-                         cost=%g moves=%d"
-                        program.Ra_programs.Suite.pname proc.Proc.name
-                        (Heuristic.name h) coalesce
-                        (List.length r.Allocator.passes)
-                        r.Allocator.live_ranges r.Allocator.total_spilled
-                        r.Allocator.total_spill_cost r.Allocator.moves_removed
-                    | exception Allocator.Allocation_failure m ->
-                      Printf.sprintf "%s/%s/%s/coalesce=%b FAIL %s"
-                        program.Ra_programs.Suite.pname proc.Proc.name
-                        (Heuristic.name h) coalesce m
-                  in
-                  got := line :: !got)
+                  golden_line program proc h ~coalesce
+                    (match
+                       Allocator.allocate ~coalesce ?verify ~context:ctx
+                         machine h proc
+                     with
+                     | r -> Ok r
+                     | exception Allocator.Allocation_failure m -> Error m))
                 [ true; false ])
             heuristics)
-        procs)
-    Ra_programs.Suite.all;
+        (Ra_programs.Suite.compile program))
+    Ra_programs.Suite.all
+
+(* Lines captured from the seed allocator before the pipeline refactor:
+   any drift in passes, live ranges, spill totals, spill cost, coalesced
+   moves, or a convergence-failure message is a regression. *)
+let golden () =
   Alcotest.(check (list string))
     "every routine x heuristic x coalesce matches the seed allocator"
-    Golden_alloc.expected (List.rev !got)
+    Golden_alloc.expected (golden_sweep heuristics)
 
 (* The same sweep for the irc heuristic against its own pinned block.
    Beyond drift detection this encodes two invariants: coalesce=false
@@ -80,40 +86,10 @@ let golden () =
    (conservative coalescing never costs spills). The run is verified
    end to end: RA_VERIFY-grade lint/assignment checks on every cell. *)
 let golden_irc () =
-  let machine = Machine.rt_pc in
-  let got = ref [] in
-  List.iter
-    (fun (program : Ra_programs.Suite.program) ->
-      let procs = Ra_programs.Suite.compile program in
-      List.iter
-        (fun (proc : Proc.t) ->
-          List.iter
-            (fun coalesce ->
-              let ctx = Context.create machine in
-              let line =
-                match
-                  Allocator.allocate ~coalesce ~verify:true ~context:ctx
-                    machine Heuristic.Irc proc
-                with
-                | r ->
-                  Printf.sprintf
-                    "%s/%s/irc/coalesce=%b passes=%d live=%d spilled=%d \
-                     cost=%g moves=%d"
-                    program.Ra_programs.Suite.pname proc.Proc.name coalesce
-                    (List.length r.Allocator.passes)
-                    r.Allocator.live_ranges r.Allocator.total_spilled
-                    r.Allocator.total_spill_cost r.Allocator.moves_removed
-                | exception Allocator.Allocation_failure m ->
-                  Printf.sprintf "%s/%s/irc/coalesce=%b FAIL %s"
-                    program.Ra_programs.Suite.pname proc.Proc.name coalesce m
-              in
-              got := line :: !got)
-            [ true; false ])
-        procs)
-    Ra_programs.Suite.all;
   Alcotest.(check (list string))
     "every routine x irc x coalesce matches the pinned outcomes"
-    Golden_alloc.expected_irc (List.rev !got)
+    Golden_alloc.expected_irc
+    (golden_sweep ~verify:true [ Heuristic.Irc ])
 
 (* ---- spill-group determinism ---- *)
 

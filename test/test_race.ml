@@ -323,16 +323,25 @@ let suite_sweep_widths () =
         [ 2; 8 ])
     programs
 
+(* The comparison matrix's task DAG under the detector: every stage
+   task of every pipeline, the shared first-pass build's fan-out and the
+   irc pipelines' private builds, all checked against their declared
+   footprints on a width-4 scheduler. *)
 let procedure_dispatch_clean () =
-  with_pool ~jobs:4 (fun pool ->
-    let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
-    let _, diags =
-      Race.with_check (fun () ->
-        ignore
-          (Batch.allocate_all ~pool:(Some pool) machine Heuristic.Briggs
-             procs))
-    in
-    check_no_errors "procedure-level dispatch race-clean" diags)
+  let sched = Scheduler.create ~jobs:4 in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.shutdown sched)
+    (fun () ->
+      let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
+      let _, diags =
+        Race.with_check (fun () ->
+          ignore
+            (Batch.allocate_matrix ~scheduler:sched machine
+               [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula;
+                 Heuristic.Irc ]
+               procs))
+      in
+      check_no_errors "matrix DAG race-clean" diags)
 
 let prop_random_programs_race_clean =
   QCheck.Test.make

@@ -6,9 +6,9 @@
    propagate, the Pool façade batches interleave, the edge-derivation
    rule (Ra_check.Effects.edges) matches what the scheduler enforces,
    a seeded missing edge is flagged by the race detector as a data
-   race, and the DAG allocation matrix is bit-identical to flat,
-   sequential allocation (one warm-context batch per heuristic) across
-   widths and edge-cache settings. *)
+   race, and the DAG allocation matrix is bit-identical to sequential
+   allocation (one warm context per heuristic) for all four heuristics
+   across widths, edge-cache and coalescing settings. *)
 
 open Ra_support
 open Ra_core
@@ -280,15 +280,25 @@ let seeded_missing_edge_is_caught () =
          (List.map Ra_check.Diagnostic.to_string
             (Ra_check.Diagnostic.errors diags))))
 
-(* ---- DAG ≡ flat on real allocations ---- *)
+(* ---- DAG ≡ sequential on real allocations ---- *)
 
 let machine = Machine.rt_pc
-let heuristics = [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula ]
 
-(* The flat reference: one sequential batch per heuristic. *)
-let flat_matrix ?edge_cache procs =
+let heuristics =
+  [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula; Heuristic.Irc ]
+
+(* The sequential reference: per heuristic, one warm context allocating
+   every procedure in order; each cell is an outcome or its failure. *)
+let sequential_matrix ?edge_cache ~coalesce heuristics procs =
   List.map
-    (fun h -> Batch.allocate_all ~pool:None ?edge_cache machine h procs)
+    (fun h ->
+      let context = Context.create ?edge_cache machine in
+      List.map
+        (fun proc ->
+          match Allocator.allocate ~coalesce ~context machine h proc with
+          | r -> Ok r
+          | exception Allocator.Allocation_failure m -> Error m)
+        procs)
     heuristics
 
 let fingerprint (r : Allocator.result) =
@@ -303,49 +313,116 @@ let fingerprint (r : Allocator.result) =
     r.Allocator.moves_removed,
     Ra_ir.Proc.to_string r.Allocator.proc )
 
-let dag_matrix_matches_flat_on_suite () =
-  let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
-  let flat = flat_matrix procs in
-  List.iter
-    (fun jobs ->
-      with_sched ~jobs (fun s ->
-        let dag =
-          Batch.allocate_matrix ~scheduler:s machine heuristics procs
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "jobs=%d: quicksort matrix bit-identical" jobs)
-          true
-          (List.for_all2
-             (fun f d -> List.for_all2 (fun a b -> fingerprint a = fingerprint b) f d)
-             flat dag)))
-    [ 1; 2; 4; 8 ]
+let same_matrix seq dag =
+  List.for_all2
+    (List.for_all2 (fun cell b ->
+       match cell with
+       | Ok a -> fingerprint a = fingerprint b
+       | Error _ -> false))
+    seq dag
 
-let prop_dag_equals_flat =
+(* Matula cannot allocate these routines without coalescing: its
+   cost-blind smallest-last order keeps electing unspillable spill
+   temporaries until only those remain (their FAIL lines in
+   [Golden_alloc.expected]). One failing cell fails a whole matrix, so
+   the suite comparison allocates these routines without Matula when
+   coalescing is off; [Test_pipeline.golden] pins their failures. EULER
+   is left out altogether: Matula fails on euler_main with coalescing
+   on and on dissip and code with it off. *)
+let matula_fails_without_coalescing =
+  [ "svd"; "svd_main"; "gradnt"; "hssian"; "quicksort" ]
+
+(* Every suite program but EULER, all four heuristics, +/-coalesce, at
+   widths 1-8: the DAG matrix equals the sequential one cell for cell,
+   and each DAG cell is also the line [Golden_alloc] pins for it. *)
+let dag_matrix_matches_sequential_on_suite () =
+  let pinned = Golden_alloc.expected @ Golden_alloc.expected_irc in
+  List.iter
+    (fun (program : Ra_programs.Suite.program) ->
+      let procs = Ra_programs.Suite.compile program in
+      List.iter
+        (fun coalesce ->
+          let groups =
+            if coalesce then [ heuristics, procs ]
+            else
+              let fails (p : Ra_ir.Proc.t) =
+                List.mem p.Ra_ir.Proc.name matula_fails_without_coalescing
+              in
+              [ heuristics, List.filter (fun p -> not (fails p)) procs;
+                List.filter (fun h -> h <> Heuristic.Matula) heuristics,
+                List.filter fails procs ]
+          in
+          List.iter
+            (fun (hs, procs) ->
+              let seq = sequential_matrix ~coalesce hs procs in
+              List.iter
+                (fun jobs ->
+                  with_sched ~jobs (fun s ->
+                    let dag =
+                      Batch.allocate_matrix ~coalesce ~scheduler:s machine hs
+                        procs
+                    in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s coalesce=%b jobs=%d: bit-identical"
+                         program.Ra_programs.Suite.pname coalesce jobs)
+                      true (same_matrix seq dag);
+                    List.iter2
+                      (fun h col ->
+                        List.iter2
+                          (fun proc r ->
+                            let line =
+                              Test_pipeline.golden_line program proc h
+                                ~coalesce (Ok r)
+                            in
+                            if not (List.mem line pinned) then
+                              Alcotest.failf "DAG cell off its golden: %s"
+                                line)
+                          procs col)
+                      hs dag))
+                [ 1; 2; 4; 8 ])
+            (List.filter (fun (_, procs) -> procs <> []) groups))
+        [ true; false ])
+    (List.filter
+       (fun (p : Ra_programs.Suite.program) ->
+         p.Ra_programs.Suite.pname <> "EULER")
+       Ra_programs.Suite.all)
+
+(* Random programs: the same equivalence, failures included — when a
+   sequential cell fails, the DAG matrix must raise one of the
+   sequential failures. *)
+let prop_dag_equals_sequential =
   QCheck.Test.make
-    ~name:"random programs: DAG matrix ≡ flat dispatch (jobs x edge cache)"
+    ~name:
+      "random programs: DAG matrix ≡ sequential (jobs x edge cache x \
+       coalesce)"
     ~count:6
-    QCheck.(quad (int_bound 1000000) (int_range 5 25) (oneofl [ 2; 4; 8 ]) bool)
-    (fun (seed, size, jobs, edge_cache) ->
+    QCheck.(
+      pair
+        (quad (int_bound 1000000) (int_range 5 25) (oneofl [ 2; 4; 8 ]) bool)
+        bool)
+    (fun ((seed, size, jobs, edge_cache), coalesce) ->
       let src = Progen.generate ~seed ~size in
       let procs = Ra_ir.Codegen.compile_source src in
-      let flat = flat_matrix ~edge_cache procs in
+      let seq = sequential_matrix ~edge_cache ~coalesce heuristics procs in
+      let failures =
+        List.filter_map
+          (function Error m -> Some m | Ok _ -> None)
+          (List.concat seq)
+      in
+      let diverge () =
+        QCheck.Test.fail_reportf
+          "DAG and sequential outcomes diverge (seed %d, size %d, jobs %d, \
+           cache %b, coalesce %b)"
+          seed size jobs edge_cache coalesce
+      in
       with_sched ~jobs (fun s ->
-        let dag =
-          Batch.allocate_matrix ~scheduler:s ~edge_cache machine heuristics
-            procs
-        in
-        let same =
-          List.for_all2
-            (fun f d ->
-              List.for_all2 (fun a b -> fingerprint a = fingerprint b) f d)
-            flat dag
-        in
-        if not same then
-          QCheck.Test.fail_reportf
-            "DAG and flat outcomes diverge (seed %d, size %d, jobs %d, \
-             cache %b)"
-            seed size jobs edge_cache;
-        true))
+        match
+          Batch.allocate_matrix ~scheduler:s ~edge_cache ~coalesce machine
+            heuristics procs
+        with
+        | dag -> failures = [] && same_matrix seq dag || diverge ()
+        | exception Allocator.Allocation_failure m ->
+          List.mem m failures || diverge ()))
 
 let suites =
   [ ( "sched",
@@ -364,6 +441,6 @@ let suites =
         Alcotest.test_case "edge derivation" `Quick edges_serialize_conflicts;
         Alcotest.test_case "seeded missing edge is caught" `Quick
           seeded_missing_edge_is_caught;
-        Alcotest.test_case "DAG matrix matches flat on quicksort" `Quick
-          dag_matrix_matches_flat_on_suite;
-        qtest prop_dag_equals_flat ] ) ]
+        Alcotest.test_case "DAG matrix matches sequential on the suite" `Slow
+          dag_matrix_matches_sequential_on_suite;
+        qtest prop_dag_equals_sequential ] ) ]
