@@ -129,6 +129,14 @@ let allocate_batch ?edge_cache ?verify machine h procs =
   | [ results ] -> results
   | _ -> assert false
 
+(* An input that cannot be allocated at this register count is the
+   user's error, not an internal one: say why and exit 1. *)
+let allocate_or_exit f =
+  try f () with
+  | Ra_core.Pipeline.Allocation_failure reason ->
+    Printf.eprintf "rralloc: cannot allocate: %s\n" reason;
+    exit 1
+
 let select_procs procs = function
   | None -> procs
   | Some name ->
@@ -172,11 +180,12 @@ let alloc_cmd =
     let h = heuristic_of_name heuristic in
     let procs = select_procs (compile ~optimize file) proc in
     let results =
-      race_scope race (fun () ->
-        allocate_batch
-          ?edge_cache:(edge_cache_opt no_cache)
-          ?verify:(if verify then Some true else None)
-          machine h procs)
+      allocate_or_exit (fun () ->
+        race_scope race (fun () ->
+          allocate_batch
+            ?edge_cache:(edge_cache_opt no_cache)
+            ?verify:(if verify then Some true else None)
+            machine h procs))
     in
     List.iter2
       (fun (p : Ra_ir.Proc.t) (r : Ra_core.Allocator.result) ->
@@ -223,11 +232,12 @@ let run_cmd =
         let h = heuristic_of_name heuristic in
         List.map
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
-          (race_scope race (fun () ->
-             allocate_batch
-               ?edge_cache:(edge_cache_opt no_cache)
-               ?verify:(if verify then Some true else None)
-               machine h procs))
+          (allocate_or_exit (fun () ->
+             race_scope race (fun () ->
+               allocate_batch
+                 ?edge_cache:(edge_cache_opt no_cache)
+                 ?verify:(if verify then Some true else None)
+                 machine h procs)))
       end
       else procs
     in

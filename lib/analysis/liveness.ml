@@ -18,12 +18,6 @@ type t = {
        the live-in/out arrays and the walk scratch are tagged with one
        [K_liveness uid] key, so a scan task's whole read side is one
        declared [Footprint.Liveness] resource *)
-  dirty : int list;
-    (* blocks whose gen/kill this solution recomputed relative to the
-       [old] it was derived from (ascending, deduplicated); [] for a
-       from-scratch [compute]. Exposed via [dirty_blocks] so downstream
-       incremental consumers — the interference edge cache — rescan
-       exactly the set of blocks the solver did. *)
 }
 
 let vreg_index (proc : Ra_ir.Proc.t) (r : Ra_ir.Reg.t) =
@@ -76,7 +70,7 @@ let compute ~code ~cfg numbering =
   ignore code;
   let scratch = Bitset.create universe in
   let uid = stamp ~result ~scratch in
-  { numbering; cfg; gen; kill; result; scratch; uid; dirty = [] }
+  { numbering; cfg; gen; kill; result; scratch; uid }
 
 (* Incremental re-solve after a code edit that preserved the block
    structure (spill insertion). The previous solution carries over
@@ -145,7 +139,6 @@ let update ~old ~code ~cfg numbering ~remap ~dirty_blocks =
       Queue.add b work
     end
   in
-  let dirty_blocks = List.sort_uniq Int.compare dirty_blocks in
   List.iter push dirty_blocks;
   while not (Queue.is_empty work) do
     let b = Queue.pop work in
@@ -163,61 +156,112 @@ let update ~old ~code ~cfg numbering ~remap ~dirty_blocks =
   let result = { Dataflow.live_in; live_out } in
   let scratch = Bitset.create universe in
   let uid = stamp ~result ~scratch in
-  { numbering; cfg; gen; kill; result; scratch; uid; dirty = dirty_blocks }
+  { numbering; cfg; gen; kill; result; scratch; uid }
 
 (* Re-solve after a change of numbering that kept the universe and the
    block structure (coalescing: web ids are renamed to their new class
-   representatives). Unlike [update], the old solution is of no use as a
-   starting point — merging classes strengthens kills, so live sets can
-   *shrink*, and a worklist that only grows sets from an over-approximate
-   seed would never come back down. What does carry over is the expensive
-   part: a clean block's gen/kill sets are the rep-mapped def/use lists of
-   its instructions, so any block none of whose webs changed
-   representative keeps them verbatim. We share those bitsets with [old]
-   (they are never mutated after construction; [Dataflow.solve] only
-   reads them), recompute gen/kill for the dirty blocks, and run a full
-   solve from empty sets — reaching the exact least fixpoint a
-   from-scratch [compute] would. *)
-let refresh ~old ~code ~cfg numbering ~dirty_blocks =
-  ignore code;
+   representatives). Liveness is separable: id [c]'s gen, kill and live
+   bits in every block depend only on [c]'s own occurrences, so the
+   solution is a set of independent columns, one per id. A merge
+   changes exactly two columns — the surviving representative's (its
+   occurrences are now the whole class's) and the absorbed one's (it
+   occurs nowhere any more) — and every other column is [old]'s.
+
+   So each changed column is rebuilt on its own: its bit is cleared
+   everywhere, gen/kill are set from its sites (a block's gen bit when
+   the id's first occurrence there is a use — an instruction's uses
+   count before its defs — its kill bit when it has a def), and its live
+   bits are regrown by propagating backward from the gen blocks, stopping
+   at kills. That reaches the column's least fixpoint, which is what a
+   from-scratch [compute] finds for it. [old] is never mutated: a gen or
+   kill set is copied the first time one of its bits must change
+   (untouched blocks share [old]'s), and the live sets are copied whole,
+   because the solution's race-check identity is stamped onto them. *)
+let refresh ~old ~cfg numbering ~changed ~sites =
   let n = Ra_ir.Cfg.n_blocks cfg in
   let universe = numbering.universe in
   if old.numbering.universe <> universe then
     invalid_arg "Liveness.refresh: universe changed";
   if Ra_ir.Cfg.n_blocks old.cfg <> n then
     invalid_arg "Liveness.refresh: block structure changed";
-  let dirty = Array.make n false in
+  let gen = Array.copy old.gen and kill = Array.copy old.kill in
+  let gen_owned = Array.make n false and kill_owned = Array.make n false in
+  let own sets owned b =
+    if not owned.(b) then begin
+      sets.(b) <- Bitset.copy sets.(b);
+      owned.(b) <- true
+    end
+  in
+  let live_in = Array.map Bitset.copy old.result.Dataflow.live_in in
+  let live_out = Array.map Bitset.copy old.result.Dataflow.live_out in
+  (* per-block first use / first def of the column being rebuilt;
+     [max_int] means none, reset through [seen] after each column *)
+  let first_use = Array.make n max_int and first_def = Array.make n max_int in
+  let seen = ref [] in
+  let work = Stack.create () in
+  let rebuild_column c =
+    for b = 0 to n - 1 do
+      if Bitset.mem gen.(b) c then begin
+        own gen gen_owned b;
+        Bitset.remove gen.(b) c
+      end;
+      if Bitset.mem kill.(b) c then begin
+        own kill kill_owned b;
+        Bitset.remove kill.(b) c
+      end;
+      Bitset.remove live_in.(b) c;
+      Bitset.remove live_out.(b) c
+    done;
+    sites c (fun ~def i ->
+      let b = cfg.Ra_ir.Cfg.block_of_instr.(i) in
+      if first_use.(b) = max_int && first_def.(b) = max_int then
+        seen := b :: !seen;
+      if def then (if i < first_def.(b) then first_def.(b) <- i)
+      else if i < first_use.(b) then first_use.(b) <- i);
+    List.iter
+      (fun b ->
+        if first_def.(b) < max_int then begin
+          own kill kill_owned b;
+          Bitset.add kill.(b) c
+        end;
+        if first_use.(b) <= first_def.(b) then begin
+          own gen gen_owned b;
+          Bitset.add gen.(b) c;
+          Bitset.add live_in.(b) c;
+          Stack.push b work
+        end;
+        first_use.(b) <- max_int;
+        first_def.(b) <- max_int)
+      !seen;
+    seen := [];
+    while not (Stack.is_empty work) do
+      let b = Stack.pop work in
+      List.iter
+        (fun p ->
+          if not (Bitset.mem live_out.(p) c) then begin
+            Bitset.add live_out.(p) c;
+            if not (Bitset.mem kill.(p) c || Bitset.mem live_in.(p) c)
+            then begin
+              Bitset.add live_in.(p) c;
+              Stack.push p work
+            end
+          end)
+        cfg.Ra_ir.Cfg.blocks.(b).Ra_ir.Cfg.preds
+    done
+  in
   List.iter
-    (fun b ->
-      if b < 0 || b >= n then invalid_arg "Liveness.refresh: dirty block";
-      dirty.(b) <- true)
-    dirty_blocks;
-  let gen =
-    Array.init n (fun b ->
-      if dirty.(b) then Bitset.create universe else old.gen.(b))
-  in
-  let kill =
-    Array.init n (fun b ->
-      if dirty.(b) then Bitset.create universe else old.kill.(b))
-  in
-  Array.iter
-    (fun (b : Ra_ir.Cfg.block) ->
-      if dirty.(b.bindex) then
-        block_gen_kill numbering b ~gen:gen.(b.bindex) ~kill:kill.(b.bindex))
-    cfg.blocks;
-  let result =
-    Dataflow.solve ~cfg ~universe ~gen ~kill ~direction:Dataflow.Backward ()
-  in
+    (fun c ->
+      if c < 0 || c >= universe then invalid_arg "Liveness.refresh: id";
+      rebuild_column c)
+    changed;
+  let result = { Dataflow.live_in; live_out } in
   let scratch = Bitset.create universe in
   let uid = stamp ~result ~scratch in
-  { numbering; cfg; gen; kill; result; scratch; uid;
-    dirty = List.sort_uniq Int.compare dirty_blocks }
+  { numbering; cfg; gen; kill; result; scratch; uid }
 
 let universe t = t.numbering.universe
 
 let uid t = t.uid
-
-let dirty_blocks t = t.dirty
 
 let block_live_in t b = t.result.Dataflow.live_in.(b)
 let block_live_out t b = t.result.Dataflow.live_out.(b)

@@ -41,22 +41,28 @@ val update :
   dirty_blocks:int list ->
   t
 
-(** [refresh ~old ~code ~cfg numbering ~dirty_blocks] re-solves the
+(** [refresh ~old ~cfg numbering ~changed ~sites] re-solves the
     analysis after a change of numbering over the *same* universe and
     block structure (coalescing renames web ids to their merged-class
-    representatives). [dirty_blocks] must include every block whose
-    rep-mapped def/use lists changed — i.e. every block containing an
-    occurrence of a web whose representative changed. Clean blocks share
-    their gen/kill sets with [old] (never copied, never mutated); dirty
-    blocks are recomputed; the dataflow solve runs in full from empty
-    sets, since the old solution can sit *above* the new least fixpoint
-    (merged classes kill more) and cannot seed a grow-only worklist. *)
+    representatives). Liveness is separable — an id's gen, kill and live
+    bits depend only on its own occurrences — so only the columns of the
+    ids in [changed] are recomputed; every other id must occur at the
+    same instructions, in the same roles, under [numbering] as under
+    [old]'s numbering, and keeps [old]'s bits. [sites c f] must call
+    [f ~def:true i] for every instruction [i] defining [c] under
+    [numbering] and [f ~def:false i] for every instruction using it (any
+    order, repeats allowed; nothing for an id that no longer occurs).
+    Each changed column is rebuilt from its sites and its live bits
+    regrown backward from its upward-exposed uses, which reaches the
+    same least fixpoint as a from-scratch {!compute}. [old] is never
+    mutated: blocks whose gen/kill no changed column touches share
+    [old]'s sets. *)
 val refresh :
   old:t ->
-  code:Ra_ir.Proc.node array ->
   cfg:Ra_ir.Cfg.t ->
   numbering ->
-  dirty_blocks:int list ->
+  changed:int list ->
+  sites:(int -> (def:bool -> int -> unit) -> unit) ->
   t
 
 (** Size of the id universe the analysis was solved over. *)
@@ -67,15 +73,6 @@ val universe : t -> int
     key under this uid, so a parallel scan task declares its whole read
     side as a single [Footprint.Liveness (uid live)] resource. *)
 val uid : t -> int
-
-(** The dirty-block set the solution was derived with: for a result of
-    {!update} or {!refresh}, the blocks whose gen/kill were recomputed
-    (ascending, deduplicated); [[]] for a from-scratch {!compute}. The
-    solver used to consume this set internally — it is exposed so the
-    incremental interference-graph construction (the Build edge cache)
-    can rescan exactly the blocks the liveness re-solve did, instead of
-    recomputing or re-plumbing the set. *)
-val dirty_blocks : t -> int list
 
 (** Live-in/out of a whole block. Do not mutate the returned sets. *)
 val block_live_in : t -> int -> Ra_support.Bitset.t

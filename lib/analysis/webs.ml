@@ -19,7 +19,17 @@ type t = {
        register counters keep growing (spill insertion mints temporaries
        while consulting this structure), so the offset must be a value,
        not a live read of [proc.next_int]. *)
+  uses : int list array; (* instr -> web ids used, ascending, deduplicated *)
+  defs : int list array; (* instr -> web ids defined *)
 }
+
+(* The per-instruction web lists every numbering walk reads, computed
+   once per table so [uses_at]/[defs_at] allocate nothing. *)
+let with_lists ~webs ~use_maps ~def_maps ~flt_base =
+  { webs; use_maps; def_maps; flt_base;
+    uses =
+      Array.map (fun m -> List.sort_uniq Int.compare (List.map snd m)) use_maps;
+    defs = Array.map (List.map snd) def_maps }
 
 let build (proc : Ra_ir.Proc.t) (cfg : Ra_ir.Cfg.t) ~is_spill_vreg : t =
   let code = proc.code in
@@ -135,8 +145,7 @@ let build (proc : Ra_ir.Proc.t) (cfg : Ra_ir.Cfg.t) ~is_spill_vreg : t =
        def_maps.(i) <-
          [ Reaching_defs.vreg_of rd d, Hashtbl.find rep_to_web rep ])
   done;
-  ignore n_instr;
-  { webs; use_maps; def_maps; flt_base }
+  with_lists ~webs ~use_maps ~def_maps ~flt_base
 
 let n_webs t = Array.length t.webs
 let web t i = t.webs.(i)
@@ -154,8 +163,8 @@ let use_web t i reg = List.assoc (key_of t reg) t.use_maps.(i)
 
 let def_web t i reg = List.assoc (key_of t reg) t.def_maps.(i)
 
-let uses_at t i = List.sort_uniq Int.compare (List.map snd t.use_maps.(i))
-let defs_at t i = List.map snd t.def_maps.(i)
+let uses_at t i = t.uses.(i)
+let defs_at t i = t.defs.(i)
 
 let entry_webs t =
   Array.to_list t.webs
@@ -294,4 +303,4 @@ let rebuild (proc : Ra_ir.Proc.t) ~(old : t) (edit : edit) : t * int array =
         (fun i -> use_maps.(i) <- (key, web.w_id) :: use_maps.(i))
         web.use_sites)
     webs;
-  { webs; use_maps; def_maps; flt_base }, old_to_new
+  with_lists ~webs ~use_maps ~def_maps ~flt_base, old_to_new

@@ -41,7 +41,8 @@ val of_class : t -> Ra_ir.Reg.cls -> web list
 val use_web : t -> int -> Ra_ir.Reg.t -> int
 val def_web : t -> int -> Ra_ir.Reg.t -> int
 
-(** Web ids used / defined at an instruction (deduplicated). *)
+(** Web ids used / defined at an instruction (ascending, deduplicated),
+    computed once per table: repeated calls return the same list. *)
 val uses_at : t -> int -> int list
 val defs_at : t -> int -> int list
 

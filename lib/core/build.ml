@@ -84,6 +84,19 @@ let iter_defs (moves : moves) ~(rep : int array)
   if m >= 0 then f rep.(moves.mv_def.(m)) ~excluding:rep.(moves.mv_use.(m))
   else List.iter (fun d -> f d ~excluding:(-1)) (numbering.Liveness.defs_of i)
 
+(* The representatives of a base def/use list, ascending and
+   deduplicated. In the common case — every web its own representative,
+   the list already strictly ascending — that is the base list itself,
+   returned without allocating; it equals the [List.sort_uniq] result,
+   so emission order cannot depend on which path ran. *)
+let rec own_sorted rep prev = function
+  | [] -> true
+  | w :: rest -> w > prev && rep.(w) = w && own_sorted rep w rest
+
+let rep_ids rep ws =
+  if own_sorted rep (-1) ws then ws
+  else List.sort_uniq Int.compare (List.map (fun w -> rep.(w)) ws)
+
 (* ---- encoded scan events ----
 
    The per-block scan hands every interference to its emitter as a pair
@@ -856,23 +869,44 @@ let seeded_query_flip = ref false
    candidate class, and at each definition of one tests the partners of
    its candidate moves against the live-after set — the same live sets,
    definitions and exclusions [scan_blocks] emits from, restricted to
-   the candidate pairs. Non-candidate entries stay [false]. *)
-let query_interference (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
+   the candidate pairs. Non-candidate entries stay [false].
+
+   [carry], when given, is the previous round's answers and the marks of
+   the classes its merges changed (both representatives of every merged
+   pair). Interference between two classes depends only on their own
+   liveness columns and sites, and the only other class a test consults
+   — a copy source, for the exclusion — matters only when it is the
+   partner itself. So a candidate neither of whose classes is marked
+   keeps its previous answer, and only the moves touching a merged
+   class are asked again: only the blocks holding a def site of
+   an asked move's class are walked. *)
+let query_interference ?carry (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
     ~(rep : int array) ~numbering ~(live : Liveness.t) =
   let n_moves = Array.length moves.mv_def in
   let n_webs = Webs.n_webs webs in
   let answer = Array.make n_moves false in
-  (* each candidate class's partners, as a CSR: the slots
+  let asks a b =
+    candidate webs a b
+    &&
+    match carry with
+    | None -> true
+    | Some (_, changed) -> changed.(a) || changed.(b)
+  in
+  (* each asked class's partners, as a CSR: the slots
      [start.(w) .. start.(w + 1) - 1] hold (partner, move) pairs *)
   let start = Array.make (n_webs + 1) 0 in
   let n_cand = ref 0 in
   for m = 0 to n_moves - 1 do
     let a = rep.(moves.mv_def.(m)) and b = rep.(moves.mv_use.(m)) in
-    if candidate webs a b then begin
+    if asks a b then begin
       start.(a + 1) <- start.(a + 1) + 1;
       start.(b + 1) <- start.(b + 1) + 1;
       incr n_cand
     end
+    else
+      match carry with
+      | Some (prev, _) when candidate webs a b -> answer.(m) <- prev.(m)
+      | Some _ | None -> ()
   done;
   if !n_cand > 0 then begin
     for w = 0 to n_webs - 1 do
@@ -889,7 +923,7 @@ let query_interference (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
     let entry_in = Liveness.block_live_in live 0 in
     for m = 0 to n_moves - 1 do
       let a = rep.(moves.mv_def.(m)) and b = rep.(moves.mv_use.(m)) in
-      if candidate webs a b then begin
+      if asks a b then begin
         push a b m;
         push b a m;
         if Bitset.mem entry_in a && Bitset.mem entry_in b then
@@ -916,16 +950,17 @@ let query_interference (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
         if go then
           Liveness.iter_block_backward live b ~f:(fun i ~live_after ->
             iter_defs moves ~rep ~numbering i ~f:(test_def ~live_after)))
-      walk;
-    if !seeded_query_flip then begin
-      let m = ref 0 in
-      while
-        not (candidate webs rep.(moves.mv_def.(!m)) rep.(moves.mv_use.(!m)))
-      do
-        incr m
-      done;
-      answer.(!m) <- not answer.(!m)
-    end
+      walk
+  end;
+  if !seeded_query_flip then begin
+    let m = ref 0 in
+    while
+      !m < n_moves
+      && not (candidate webs rep.(moves.mv_def.(!m)) rep.(moves.mv_use.(!m)))
+    do
+      incr m
+    done;
+    if !m < n_moves then answer.(!m) <- not answer.(!m)
   end;
   answer
 
@@ -945,10 +980,8 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
      already holds the web-granularity liveness (the allocation context,
      carrying it across spill passes via [Liveness.update]) can pass it as
      [live0] and skip the from-scratch solve. Later iterations refresh it:
-     coalescing changes the transfer functions (a merged class's gen can
-     shrink), but only in the blocks that mention a web whose
-     representative moved, so [Liveness.refresh] recomputes gen/kill for
-     those blocks alone and re-solves. *)
+     a round's merges change the liveness columns of the merged classes'
+     representatives only, so [Liveness.refresh] recomputes just those. *)
   let base_live =
     match live0 with
     | Some l -> l
@@ -966,20 +999,63 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
   (match cache with Some ec -> Edge_cache.reset_stats ec | None -> ());
   let moves = move_table proc webs in
   let stamps = { marks = [||]; stamp = 0 } in
-  let rep_ids rep = function
-    | [] -> []
-    | [ w ] -> [ rep.(w) ]
-    | ws -> List.sort_uniq Int.compare (List.map (fun w -> rep.(w)) ws)
-  in
   let rep_numbering rep =
     { Liveness.universe = n_webs;
       defs_of = (fun i -> rep_ids rep (base.Liveness.defs_of i));
       uses_of = (fun i -> rep_ids rep (base.Liveness.uses_of i)) }
   in
+  (* The classes the previous round's merges changed — both
+     representatives of every merged pair, the survivor and the absorbed
+     one — marked in [changed_col], with each survivor's members chained
+     through [member_head]/[member_next] (an absorbed representative has
+     none). Every other class has the same members, hence the same
+     sites and liveness column, as in the previous round. *)
+  let changed_col = Array.make (max n_webs 1) false in
+  let member_head = Array.make (max n_webs 1) (-1) in
+  let member_next = Array.make (max n_webs 1) (-1) in
+  let last_changed = ref [] in
+  let changed_columns ~prev_rep ~rep =
+    List.iter
+      (fun c ->
+        changed_col.(c) <- false;
+        member_head.(c) <- -1)
+      !last_changed;
+    let changed = ref [] in
+    let mark c =
+      if not changed_col.(c) then begin
+        changed_col.(c) <- true;
+        changed := c :: !changed
+      end
+    in
+    for w = 0 to n_webs - 1 do
+      if prev_rep.(w) <> rep.(w) then begin
+        mark prev_rep.(w);
+        mark rep.(w)
+      end
+    done;
+    for w = n_webs - 1 downto 0 do
+      let r = rep.(w) in
+      if changed_col.(r) then begin
+        member_next.(w) <- member_head.(r);
+        member_head.(r) <- w
+      end
+    done;
+    last_changed := !changed;
+    !changed
+  in
+  let class_sites c f =
+    let w = ref member_head.(c) in
+    while !w >= 0 do
+      let web = Webs.web webs !w in
+      List.iter (fun i -> f ~def:true i) web.Webs.def_sites;
+      List.iter (fun i -> f ~def:false i) web.Webs.use_sites;
+      w := member_next.(!w)
+    done
+  in
   (* Blocks whose rep-mapped def/use lists changed since the previous
      round: exactly the blocks containing a def or use site of a web
-     whose representative moved. gen/kill of every other block is
-     untouched by the merge. *)
+     whose representative moved. The edge cache rescans at least these
+     (see below). *)
   let dirty_blocks ~prev_rep ~rep =
     let mark = Array.make (Cfg.n_blocks cfg) false in
     for w = 0 to n_webs - 1 do
@@ -996,7 +1072,7 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
     done;
     !out
   in
-  (* The edge cache must rescan a *superset* of the liveness-dirty set: a
+  (* The edge cache must rescan a *superset* of that site-dirty set: a
      block whose gen/kill survived a merge untouched can still see its
      scan output change, because a web merged into an *unchanged*
      representative renames entries of the block's live sets — shifting
@@ -1094,17 +1170,17 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
   let parallel =
     match pool with Some p -> Pool.jobs p > 1 | None -> false
   in
-  let rec fixpoint total ~first ~rounds ~prev_rep ~prev_live =
+  let rec fixpoint total ~first ~rounds ~prev_rep ~prev_live ~prev_answer =
     let rep = Array.init (max n_webs 1) (Union_find.find alias) in
     let numbering = rep_numbering rep in
     let live, cache_dirty =
       if first then base_live, []
       else begin
-        let dirty = dirty_blocks ~prev_rep ~rep in
+        let changed = changed_columns ~prev_rep ~rep in
         let refreshed =
           Telemetry.span tele Phase.Liveness (fun () ->
-            Liveness.refresh ~old:prev_live ~code:proc.code ~cfg numbering
-              ~dirty_blocks:dirty)
+            Liveness.refresh ~old:prev_live ~cfg numbering ~changed
+              ~sites:class_sites)
         in
         if verify then
           Telemetry.span tele Phase.Verify (fun () ->
@@ -1114,7 +1190,8 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
           match cache with
           | None -> []
           | Some _ ->
-            cache_dirty_blocks ~prev_rep ~rep ~prev_live ~site_dirty:dirty
+            cache_dirty_blocks ~prev_rep ~rep ~prev_live
+              ~site_dirty:(dirty_blocks ~prev_rep ~rep)
         in
         refreshed, cache_dirty
       end
@@ -1145,9 +1222,9 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
       built
     in
     let finish (ig, fg, now, wni, wnf) = ig, fg, now, wni, wnf, total, rounds in
-    let next merged =
+    let next ?answer merged =
       fixpoint (total + merged) ~first:false ~rounds:(rounds + 1)
-        ~prev_rep:rep ~prev_live:live
+        ~prev_rep:rep ~prev_live:live ~prev_answer:answer
     in
     match mode with
     | Off -> finish (graphs ())
@@ -1176,7 +1253,11 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
       let answer =
         Telemetry.span tele Phase.Scan
           ~args:(fun () -> [ "proc", proc.name; "kind", "query" ])
-          (fun () -> query_interference cfg webs moves ~rep ~numbering ~live)
+          (fun () ->
+            let carry =
+              Option.map (fun prev -> prev, changed_col) prev_answer
+            in
+            query_interference ?carry cfg webs moves ~rep ~numbering ~live)
       in
       if verify then
         Telemetry.span tele Phase.Verify (fun () ->
@@ -1187,11 +1268,12 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
             ~mergeable:(fun m _ _ -> not answer.(m))
             ~touched)
       in
-      if merged = 0 then finish (graphs ()) else next merged
+      if merged = 0 then finish (graphs ()) else next ~answer merged
   in
   let int_graph, flt_graph, node_of_web, web_of_node_int, web_of_node_flt,
       moves_coalesced, rounds =
     fixpoint 0 ~first:true ~rounds:1 ~prev_rep:[||] ~prev_live:base_live
+      ~prev_answer:None
   in
   (* The distinct move pairs still live under the final aliasing, as
      node-id pairs per class. [Conservative] *stages* them — they become

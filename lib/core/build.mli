@@ -110,7 +110,7 @@ val par_scratch : unit -> par_scratch
     [Aggressive] build is given a cache.
 
     Within one {!build}, invalidation is automatic: a coalescing round
-    rescans the blocks {!Liveness.refresh} re-solved plus every block
+    rescans the blocks holding a site of a re-aliased web plus every block
     where a re-aliased web's former representative was live or had a
     site — a merge can reorder another web's scan position or newly
     capture it in a copy/call exclusion even where liveness sets are
@@ -181,8 +181,11 @@ val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
 
     [live0], when given, must be the liveness of [proc] under
     {!Webs.numbering} of [webs] — it spares the iteration-0 solve. Later
-    coalescing iterations re-solve through {!Liveness.refresh}, reusing
-    the gen/kill sets of every block no merge touched. [scratch], when
+    coalescing iterations re-solve through {!Liveness.refresh}, which
+    recomputes only the liveness columns of the classes the previous
+    round merged; an [Aggressive] round likewise asks the interference
+    query again only for the moves touching such a class and carries
+    every other candidate's answer forward. [scratch], when
     given, is a pair of graph buffers (int class, flt class) that every
     iteration {!Igraph.reset}s and builds into: the returned [t] then
     aliases those buffers, which stay valid until the next build that

@@ -434,30 +434,50 @@ let flipped_query_trips_verify () =
       | _ -> Alcotest.fail "verified build accepted a flipped query answer"
       | exception Build.Divergence _ -> ())
 
+(* every aggressive round of every routine, with and without a pool:
+   the verified build compares each candidate move's query answer —
+   carried from the previous round or asked again — with the reference
+   graph's edge, and the final graph with the sequential one. Returns
+   the most coalescing rounds one build ran. *)
+let query_matches_graph (procs : Proc.t list) =
+  List.fold_left
+    (fun most (p : Proc.t) ->
+      let cfg = Cfg.build p.Proc.code in
+      let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
+      let seq = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
+      let par =
+        Build.build Machine.rt_pc p cfg ~webs
+          ~pool:(List.nth (Lazy.force pools) 1)
+          ~par:(Build.par_scratch ())
+          ~touched:(Ra_support.Bitset.create 0)
+          ~verify:true ()
+      in
+      Alcotest.(check bool)
+        (p.Proc.name ^ ": pooled build matches")
+        true (same_build seq par);
+      max most seq.Build.rounds)
+    0 procs
+
 let query_matches_graph_on_suite () =
-  (* every aggressive round of every suite routine, with and without a
-     pool: the verified build compares each candidate move's query answer
-     with the reference graph's edge, and the final graph with the
-     sequential one *)
   List.iter
     (fun program ->
-      List.iter
-        (fun (p : Proc.t) ->
-          let cfg = Cfg.build p.Proc.code in
-          let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
-          let seq = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
-          let par =
-            Build.build Machine.rt_pc p cfg ~webs
-              ~pool:(List.nth (Lazy.force pools) 1)
-              ~par:(Build.par_scratch ())
-              ~touched:(Ra_support.Bitset.create 0)
-              ~verify:true ()
-          in
-          Alcotest.(check bool)
-            (p.Proc.name ^ ": pooled build matches")
-            true (same_build seq par))
-        (Ra_programs.Suite.compile program))
-    Ra_programs.Suite.all
+      ignore (query_matches_graph (Ra_programs.Suite.compile program)))
+    Ra_programs.Suite.all;
+  (* optimized, the copy-heavy generated routines coalesce over dozens
+     of rounds, so carried answers are checked far past the first round *)
+  let most =
+    List.fold_left
+      (fun most seed ->
+        let procs =
+          Codegen.compile_source (Ra_programs.Synth.program ~seed ~size:8)
+        in
+        Ra_opt.Opt.optimize_all procs;
+        max most (query_matches_graph procs))
+      0 [ 1; 2; 3 ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "some synthetic build ran many rounds (%d)" most)
+    true (most >= 10)
 
 let suites =
   [ ( "build.interference",
