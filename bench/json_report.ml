@@ -4,8 +4,8 @@
    an incremental context (structures patched across spill passes, edge
    cache off), with incrementality disabled (from-scratch builds every
    pass), with an incremental context whose graph build runs on a domain
-   pool, and with the per-block edge cache on (dirty-block rescans across
-   coalescing rounds and spill passes). Each mode runs a few times and
+   pool, and with the per-block edge cache on (dirty-block rescans of
+   each spill pass's first-round scan). Each mode runs a few times and
    the per-pass phase times keep the element-wise minimum. The runs must agree on everything
    except CPU time — pass-by-pass counters, spill totals, and the final
    allocated code — and the report records all four time series so the

@@ -76,9 +76,9 @@ let jobs_arg =
 let no_cache_arg =
   Arg.(value & flag & info [ "no-edge-cache" ]
          ~doc:"Disable the per-block interference edge cache that irc and \
-               no-coalesce builds read: every such build round rescans \
-               all blocks (same as RA_EDGE_CACHE=0). Results are \
-               bit-identical either way.")
+               no-coalesce builds read: the first-round scan of every \
+               such build pass rescans all blocks (same as \
+               RA_EDGE_CACHE=0). Results are bit-identical either way.")
 
 let race_arg =
   Arg.(value & flag & info [ "race-check" ]

@@ -92,10 +92,13 @@ let reaching_in t b = t.reach_in.(b)
 let iter_uses t ~f =
   let code = t.proc.code in
   let index = Liveness.vreg_index t.proc in
+  (* the current in-block definition of vreg [v] is [local.(v)] while
+     [stamp.(v)] holds the block's mark; otherwise fall back to reach_in *)
+  let n_vregs = Array.length t.defs_of_vreg in
+  let local = Array.make n_vregs 0 and stamp = Array.make n_vregs (-1) in
   Array.iter
     (fun (b : Ra_ir.Cfg.block) ->
-      (* current in-block definition per vreg; fall back to reach_in *)
-      let local = Hashtbl.create 16 in
+      let mark = b.bindex in
       let rin = t.reach_in.(b.bindex) in
       for i = b.first to b.last do
         let uses = Ra_ir.Instr.uses (code.(i)).ins in
@@ -103,10 +106,8 @@ let iter_uses t ~f =
           (fun u ->
             let v = index u in
             let reaching =
-              match Hashtbl.find_opt local v with
-              | Some d -> [ d ]
-              | None ->
-                List.filter (fun d -> Bitset.mem rin d) t.defs_of_vreg.(v)
+              if stamp.(v) = mark then [ local.(v) ]
+              else List.filter (fun d -> Bitset.mem rin d) t.defs_of_vreg.(v)
             in
             (* The entry def reaches every use not covered by a real def.
                Unreachable blocks have an empty reach-in; fall back to the
@@ -115,7 +116,10 @@ let iter_uses t ~f =
             f i v reaching)
           uses;
         match t.def_of_instr.(i) with
-        | Some d -> Hashtbl.replace local t.vregs.(d) d
+        | Some d ->
+          let v = t.vregs.(d) in
+          local.(v) <- d;
+          stamp.(v) <- mark
         | None -> ()
       done)
     t.cfg.blocks

@@ -44,106 +44,80 @@ let build (proc : Ra_ir.Proc.t) (cfg : Ra_ir.Cfg.t) ~is_spill_vreg : t =
     | first :: rest ->
       List.iter (fun d -> ignore (Union_find.union uf first d)) rest;
       ignore first);
-  (* classes with at least one real occurrence become webs; record, per use
-     occurrence, which class it belongs to *)
-  let rep_to_web = Hashtbl.create 64 in
-  let next_web = ref 0 in
-  let entry_def_of_rep = Hashtbl.create 64 in
-  let def_sites_of_rep = Hashtbl.create 64 in
-  let use_sites_of_rep = Hashtbl.create 64 in
-  let vreg_of_rep = Hashtbl.create 64 in
-  let note_rep rep v =
-    if not (Hashtbl.mem vreg_of_rep rep) then Hashtbl.replace vreg_of_rep rep v
-  in
+  let find = Union_find.find uf in
+  (* Per representative (a def id): the class's vreg index once it has a
+     real occurrence (-1 before) — classes with one become webs — and its
+     def and use sites, newest first. *)
+  let n_defs = Reaching_defs.n_defs rd in
+  let vreg_of_rep = Array.make n_defs (-1) in
+  let def_sites = Array.make n_defs [] and use_sites = Array.make n_defs [] in
+  let note_rep rep v = if vreg_of_rep.(rep) < 0 then vreg_of_rep.(rep) <- v in
   (* definitions from instructions *)
   for i = 0 to n_instr - 1 do
     match Reaching_defs.def_at rd i with
     | None -> ()
     | Some d ->
-      let rep = Union_find.find uf d in
+      let rep = find d in
       note_rep rep (Reaching_defs.vreg_of rd d);
-      let prior =
-        match Hashtbl.find_opt def_sites_of_rep rep with
-        | Some l -> l
-        | None -> []
-      in
-      Hashtbl.replace def_sites_of_rep rep (i :: prior)
+      def_sites.(rep) <- i :: def_sites.(rep)
   done;
   (* uses *)
   let use_maps = Array.make n_instr [] in
   let def_maps = Array.make n_instr [] in
   Reaching_defs.iter_uses rd ~f:(fun i v reaching ->
-    let rep = Union_find.find uf (List.hd reaching) in
+    let rep = find (List.hd reaching) in
     note_rep rep v;
-    let prior =
-      match Hashtbl.find_opt use_sites_of_rep rep with
-      | Some l -> l
-      | None -> []
-    in
-    Hashtbl.replace use_sites_of_rep rep (i :: prior);
+    use_sites.(rep) <- i :: use_sites.(rep);
     use_maps.(i) <- (v, rep) :: use_maps.(i));
-  (* entry definitions that were merged into a used class *)
-  for v = 0 to n_vregs - 1 do
-    let rep = Union_find.find uf v in
-    if Hashtbl.mem vreg_of_rep rep then Hashtbl.replace entry_def_of_rep rep ()
-  done;
   (* Assign dense web ids in canonical order: ascending minimum def id of
      the class (entry defs occupy ids 0 .. n_vregs-1, instruction defs
      follow in instruction order). The minimum is a property of the
      class's contents, unlike the union-find representative, whose
      identity depends on union order and ranks — [rebuild] reproduces
      this numbering without re-running reaching definitions, which only
-     works against an internals-independent order. *)
-  let min_def_of_rep = Hashtbl.create 64 in
-  for d = 0 to Reaching_defs.n_defs rd - 1 do
-    let rep = Union_find.find uf d in
-    if Hashtbl.mem vreg_of_rep rep && not (Hashtbl.mem min_def_of_rep rep)
-    then Hashtbl.replace min_def_of_rep rep d
+     works against an internals-independent order. One ascending pass
+     over def ids meets each class first at its minimum def. *)
+  let web_of_rep = Array.make n_defs (-1) in
+  let rep_of_web = Array.make n_defs (-1) in
+  let n_webs = ref 0 in
+  for d = 0 to n_defs - 1 do
+    let rep = find d in
+    if vreg_of_rep.(rep) >= 0 && web_of_rep.(rep) < 0 then begin
+      web_of_rep.(rep) <- !n_webs;
+      rep_of_web.(!n_webs) <- rep;
+      incr n_webs
+    end
   done;
-  let reps =
-    Hashtbl.fold (fun rep _ acc -> rep :: acc) vreg_of_rep []
-    |> List.sort (fun a b ->
-         Int.compare
-           (Hashtbl.find min_def_of_rep a)
-           (Hashtbl.find min_def_of_rep b))
-  in
+  (* entry definitions that were merged into a used class *)
+  let has_entry_def = Array.make !n_webs false in
+  for v = 0 to n_vregs - 1 do
+    let w = web_of_rep.(find v) in
+    if w >= 0 then has_entry_def.(w) <- true
+  done;
   let flt_base = proc.next_int in
   let reg_of_index v =
     if v < flt_base then Ra_ir.Reg.int v else Ra_ir.Reg.flt (v - flt_base)
   in
   let webs =
-    List.map
-      (fun rep ->
-        let v = Hashtbl.find vreg_of_rep rep in
-        let vreg = reg_of_index v in
-        let w_id = !next_web in
-        incr next_web;
-        Hashtbl.replace rep_to_web rep w_id;
-        let sites tbl =
-          match Hashtbl.find_opt tbl rep with
-          | Some l -> List.rev l
-          | None -> []
-        in
-        { w_id;
-          cls = vreg.Ra_ir.Reg.cls;
-          vreg;
-          def_sites = sites def_sites_of_rep;
-          use_sites = sites use_sites_of_rep;
-          has_entry_def = Hashtbl.mem entry_def_of_rep rep;
-          spill_temp = is_spill_vreg vreg })
-      reps
-    |> Array.of_list
+    Array.init !n_webs (fun w_id ->
+      let rep = rep_of_web.(w_id) in
+      let vreg = reg_of_index vreg_of_rep.(rep) in
+      { w_id;
+        cls = vreg.Ra_ir.Reg.cls;
+        vreg;
+        def_sites = List.rev def_sites.(rep);
+        use_sites = List.rev use_sites.(rep);
+        has_entry_def = has_entry_def.(w_id);
+        spill_temp = is_spill_vreg vreg })
   in
   (* translate occurrence maps from reps to web ids *)
-  let to_web (v, rep) = v, Hashtbl.find rep_to_web rep in
   for i = 0 to n_instr - 1 do
-    use_maps.(i) <- List.map to_web use_maps.(i);
-    (match Reaching_defs.def_at rd i with
-     | None -> ()
-     | Some d ->
-       let rep = Union_find.find uf d in
-       def_maps.(i) <-
-         [ Reaching_defs.vreg_of rd d, Hashtbl.find rep_to_web rep ])
+    use_maps.(i) <-
+      List.map (fun (v, rep) -> v, web_of_rep.(rep)) use_maps.(i);
+    match Reaching_defs.def_at rd i with
+    | None -> ()
+    | Some d ->
+      def_maps.(i) <- [ Reaching_defs.vreg_of rd d, web_of_rep.(find d) ]
   done;
   with_lists ~webs ~use_maps ~def_maps ~flt_base
 

@@ -74,8 +74,8 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
               heuristics
           in
           ( orig,
-            Pipeline.submit_dag sched cfgn machine ~tele ?bpool ?edge_cache
-              ~pipelines proc ))
+            Pipeline.submit_dag sched cfgn machine ~tele ?bpool ~pipelines
+              proc ))
         by_size)
   in
   let rows =

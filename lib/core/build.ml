@@ -84,6 +84,18 @@ let iter_defs (moves : moves) ~(rep : int array)
   if m >= 0 then f rep.(moves.mv_def.(m)) ~excluding:rep.(moves.mv_use.(m))
   else List.iter (fun d -> f d ~excluding:(-1)) (numbering.Liveness.defs_of i)
 
+(* At a call [i], [Some r]: its caller-save registers interfere with every
+   web live after it except [r], the representative of the call's own
+   result ([-1] for none). [None] at any other instruction. *)
+let call_result (webs : Webs.t) (node : Proc.node) ~(rep : int array) i =
+  match node.ins with
+  | Instr.Call { ret; _ } ->
+    Some (match ret with Some r -> rep.(Webs.def_web webs i r) | None -> -1)
+  | Instr.Label _ | Instr.Li _ | Instr.Lf _ | Instr.Mov _ | Instr.Unop _
+  | Instr.Binop _ | Instr.Load _ | Instr.Store _ | Instr.Alloc _ | Instr.Dim _
+  | Instr.Br _ | Instr.Cbr _ | Instr.Ret _ | Instr.Spill_st _
+  | Instr.Spill_ld _ -> None
+
 (* The representatives of a base def/use list, ascending and
    deduplicated. In the common case — every web its own representative,
    the list already strictly ascending — that is the base list itself,
@@ -104,8 +116,8 @@ let rep_ids rep ws =
    under the aliasing the scan ran with), or a physical register [p]
    encoded as [-1 - p] (call clobbers pair physical registers with live
    webs). Web-granular events are what the edge cache stores — node ids
-   are renumbered every coalescing round, web ids survive the round (and,
-   renamed through [Webs.rebuild]'s canonical map, the spill pass). *)
+   are renumbered every build, web ids survive, renamed through
+   [Webs.rebuild]'s canonical map, into the next spill pass. *)
 
 let enc_phys p = -1 - p
 
@@ -183,24 +195,17 @@ let stage_emit s cls a b =
 (* ---- the per-block edge cache ----
 
    For each CFG block, the cache records the encoded pair sequence the
-   scan emitted there: per class, the raw emission stream in scan order
-   (within-block duplicates and all — [Igraph.add_edge]'s global
-   first-occurrence dedup collapses them on replay, so storing the
-   stream undeduplicated trades a little memory for a scan with no
-   per-pair bookkeeping beyond the push). Two layers per block:
+   scan emitted there under the *identity* aliasing (coalescing round
+   0): per class, the raw emission stream in scan order (within-block
+   duplicates and all — [Igraph.add_edge]'s global first-occurrence
+   dedup collapses them on replay, so storing the stream undeduplicated
+   trades a little memory for a scan with no per-pair bookkeeping
+   beyond the push). An entry survives spill passes — renamed through
+   [Webs.rebuild]'s old-to-new map by {!Edge_cache.remap}, with pairs
+   touching a retired (spilled) web dropped, and the blocks that
+   received spill code invalidated.
 
-   - [base]: the block's pairs under the *identity* aliasing (coalescing
-     round 0). This is the layer that survives spill passes — renamed
-     through [Webs.rebuild]'s old-to-new map by {!Edge_cache.remap}, with
-     pairs touching a retired (spilled) web dropped, and the blocks that
-     received spill code invalidated.
-   - [round]: the block's pairs as of its latest rescan in a coalescing
-     round >= 1, under that round's representatives. Valid only within
-     the pass (a new pass restarts from the identity aliasing); replay
-     remaps the stored ids through the *current* rep snapshot, which is
-     exact because representatives compose.
-
-   Replay walks every block in block order and pushes the remapped pairs
+   Replay walks every block in block order and pushes the stored pairs
    through [Igraph.add_edge], whose global first-occurrence dedup then
    reproduces exactly the adjacency insertion order of a from-scratch
    scan (see the exactness argument at [build_graphs]). *)
@@ -217,17 +222,11 @@ module Edge_cache = struct
     { lp_int = [||]; ln_int = 0; lp_flt = [||]; ln_flt = 0 }
 
   type entry = {
-    e_base : layer;
-    e_round : layer;
-    mutable base_valid : bool;
-    mutable round_valid : bool;
+    e_layer : layer;
+    mutable valid : bool;
   }
 
-  let fresh_entry () =
-    { e_base = fresh_layer ();
-      e_round = fresh_layer ();
-      base_valid = false;
-      round_valid = false }
+  let fresh_entry () = { e_layer = fresh_layer (); valid = false }
 
   type t = {
     mutable entries : entry array;
@@ -250,7 +249,7 @@ module Edge_cache = struct
       uid }
 
   (* Race-check hooks at block-slot granularity: one key per cached
-     block, covering its entry's layers and validity flags together. A
+     block, covering its entry's layer and validity flag together. A
      rescan task declares the contiguous slot range of its chunk as an
      [Footprint.Edge_cache_blocks] resource. *)
   let log_block_write t b =
@@ -268,9 +267,7 @@ module Edge_cache = struct
     t.hits <- 0;
     t.misses <- 0
 
-  let invalidate_entry e =
-    e.base_valid <- false;
-    e.round_valid <- false
+  let invalidate_entry e = e.valid <- false
 
   let clear t =
     for b = 0 to t.cached_blocks - 1 do
@@ -351,21 +348,18 @@ module Edge_cache = struct
 
   (* Cross-pass invalidation: the blocks that received spill code (the
      same dirty set the liveness update re-solved from) are rescanned;
-     every other block's base layer survives, renamed through the
-     canonical renumbering [Webs.rebuild] produced. Round layers are
-     discarded wholesale — they are granular to the *last* pass's
-     aliasing, and the next pass restarts from the identity. *)
+     every other block's layer survives, renamed through the canonical
+     renumbering [Webs.rebuild] produced. *)
   let remap t ~old_to_new ~dirty_blocks =
     invalidate_blocks t dirty_blocks;
     for b = 0 to t.cached_blocks - 1 do
       let e = t.entries.(b) in
       log_block_write t b;
-      e.round_valid <- false;
-      if e.base_valid then begin
-        e.e_base.ln_int <-
-          remap_pairs e.e_base.lp_int e.e_base.ln_int ~old_to_new;
-        e.e_base.ln_flt <-
-          remap_pairs e.e_base.lp_flt e.e_base.ln_flt ~old_to_new
+      if e.valid then begin
+        e.e_layer.ln_int <-
+          remap_pairs e.e_layer.lp_int e.e_layer.ln_int ~old_to_new;
+        e.e_layer.ln_flt <-
+          remap_pairs e.e_layer.lp_flt e.e_layer.ln_flt ~old_to_new
       end
     done
 
@@ -376,8 +370,8 @@ module Edge_cache = struct
     let found = ref false in
     for b = 0 to t.cached_blocks - 1 do
       let e = t.entries.(b) in
-      if (not !found) && e.base_valid then begin
-        push e.e_base Reg.Int_reg (enc_phys 0) (enc_phys 1);
+      if (not !found) && e.valid then begin
+        push e.e_layer Reg.Int_reg (enc_phys 0) (enc_phys 1);
         found := true
       end
     done;
@@ -387,19 +381,11 @@ end
 (* Test hook for the race detector: when set, every parallel cached
    rescan task additionally invalidates the first block of the *next*
    chunk — plain boolean stores, memory-safe, but a logically concurrent
-   write into a sibling task's declared slot range. Not output-preserving:
-   an entry invalidated after its rescan replays its stale base layer in
-   a later round, so verification must be off when the hook is on. The detector must report it both
-   as a write/write race and as a footprint violation, under any
-   schedule. *)
+   write into a sibling task's declared slot range. Output-preserving:
+   replay ignores the flag, so a lost validity costs only a rescan at the
+   next pass. The detector must report it both as a write/write race and
+   as a footprint violation, under any schedule. *)
 let seeded_cache_race = ref false
-
-(* Which layer a cache-backed scan writes: round 0 of a pass refreshes
-   invalid [base] entries (identity aliasing); later coalescing rounds
-   rescan the rep-dirty blocks into their [round] layer. *)
-type cache_round =
-  | Round0
-  | Later of int list (* rep-dirty blocks, ascending *)
 
 (* Cut [n_items] weighted items into [n_chunks] contiguous ranges of
    roughly equal total weight. [starts.(c)] is chunk [c]'s first item;
@@ -453,20 +439,17 @@ let chunk_starts (cfg : Cfg.t) ~n_chunks =
    order, as the sequential scan — so adjacency insertion order (which
    coloring is sensitive to) is bit-identical to the sequential build.
 
-   With [cache] the scan is incremental: only blocks without a valid
-   cache entry for this round (spill-dirtied blocks at round 0, blocks
-   holding a site of a web whose representative just moved at rounds
-   >= 1) are rescanned — sequentially or sharded across the pool — into
-   their per-block entries; every block is then replayed in block order
-   through [add_edge], stored web ids remapped through the current [rep]
-   snapshot. Exactness for clean blocks: a coalescing merge only renames
-   entries in their live sets (merging webs that interfere is impossible,
-   and the move-source exclusion cases land in dirty blocks), and a
-   spill edit only renames or retires them — so the remapped image of a
-   clean block's cached pairs is, pair for pair and in order, what a
-   rescan would stage. Global first occurrences, and therefore adjacency
-   insertion order, match the from-scratch scan exactly; [RA_VERIFY]
-   cross-checks this every round. *)
+   With [cache] (round 0 only, where [rep] is the identity) the scan is
+   incremental: only blocks without a valid cache entry — the blocks
+   that received spill code, or every block on a scratch pass — are
+   rescanned, sequentially or sharded across the pool, into their
+   per-block entries; every block is then replayed in block order
+   through [add_edge]. Exactness for clean blocks: a spill edit only
+   renames or retires entries of their live sets, so the renamed image
+   of a clean block's cached pairs is, pair for pair and in order, what
+   a rescan would stage. Global first occurrences, and therefore
+   adjacency insertion order, match the from-scratch scan exactly;
+   [RA_VERIFY] cross-checks this every build. *)
 let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
     ~(moves : moves) ~(rep : int array) ~numbering ~(live : Liveness.t)
     ~scratch ~pool ~par ~cache ~tele =
@@ -528,7 +511,7 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
         let saves = Machine.caller_save machine cls in
         Bitset.iter
           (fun l ->
-            if Some l <> ret_rep && cls_of_web webs l = cls then
+            if l <> ret_rep && cls_of_web webs l = cls then
               List.iter (fun p -> emit cls (enc_phys p) l) saves)
           live_after
       in
@@ -538,77 +521,46 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
     for b = lo to hi do
       Liveness.iter_block_backward ?scratch:live_scratch live b
         ~f:(fun i ~live_after ->
-          let node = proc.code.(i) in
           iter_defs moves ~rep ~numbering i ~f:(add_def_edges ~live_after);
-          match node.ins with
-          | Instr.Call { ret; _ } ->
-            let ret_rep =
-              Option.map (fun r -> rep.(Webs.def_web webs i r)) ret
-            in
-            add_clobber_edges ~ret_rep ~live_after
-          | Instr.Label _ | Instr.Li _ | Instr.Lf _ | Instr.Mov _
-          | Instr.Unop _ | Instr.Binop _ | Instr.Load _ | Instr.Store _
-          | Instr.Alloc _ | Instr.Dim _ | Instr.Br _ | Instr.Cbr _
-          | Instr.Ret _ | Instr.Spill_st _ | Instr.Spill_ld _ -> ())
+          match call_result webs proc.code.(i) ~rep i with
+          | Some ret_rep -> add_clobber_edges ~ret_rep ~live_after
+          | None -> ())
     done
   in
   let n_blocks = Cfg.n_blocks cfg in
   (match cache with
-   | Some (ec, round) ->
+   | Some ec ->
      let open Edge_cache in
      prepare ec ~n_blocks;
-     let rescan =
-       match round with
-       | Round0 ->
-         (* a pass starts at the identity aliasing: drop last pass's
-            rep-granular round layers, rescan whatever base entries the
-            context invalidated (all of them on a scratch pass) *)
-         let acc = ref [] in
-         for b = n_blocks - 1 downto 0 do
-           let e = ec.entries.(b) in
-           e.round_valid <- false;
-           if not e.base_valid then acc := b :: !acc
-         done;
-         !acc
-       | Later dirty -> dirty
-     in
+     (* rescan whatever entries the context invalidated (all of them on
+        a scratch pass) *)
+     let rescan = ref [] in
+     for b = n_blocks - 1 downto 0 do
+       if not ec.entries.(b).valid then rescan := b :: !rescan
+     done;
+     let rescan = !rescan in
      let n_rescan = List.length rescan in
      ec.misses <- ec.misses + n_rescan;
      ec.hits <- ec.hits + (n_blocks - n_rescan);
      let fresh_layer_of b =
-       let e = ec.entries.(b) in
-       let layer =
-         match round with Round0 -> e.e_base | Later _ -> e.e_round
-       in
+       let layer = ec.entries.(b).e_layer in
        layer.ln_int <- 0;
        layer.ln_flt <- 0;
        layer
      in
-     let mark_valid b =
-       let e = ec.entries.(b) in
-       match round with
-       | Round0 -> e.base_valid <- true
-       | Later _ -> e.round_valid <- true
-     in
+     let mark_valid b = ec.entries.(b).valid <- true in
      (* replay one block through add_edge's global first-occurrence
-        dedup; stored web endpoints go through the current rep snapshot
-        (representatives compose across rounds) *)
-     let replay_node x =
-       if x >= 0 then
-         Array.unsafe_get node_of_web (Array.unsafe_get rep x)
-       else -1 - x
-     in
+        dedup *)
      let replay_pairs graph pairs n =
        for p = 0 to n - 1 do
          Igraph.add_edge graph
-           (replay_node (Array.unsafe_get pairs (2 * p)))
-           (replay_node (Array.unsafe_get pairs ((2 * p) + 1)))
+           (node_of_enc (Array.unsafe_get pairs (2 * p)))
+           (node_of_enc (Array.unsafe_get pairs ((2 * p) + 1)))
        done
      in
      let replay_block b =
        log_block_read ec b;
-       let e = ec.entries.(b) in
-       let layer = if e.round_valid then e.e_round else e.e_base in
+       let layer = ec.entries.(b).e_layer in
        replay_pairs int_graph layer.lp_int layer.ln_int;
        replay_pairs flt_graph layer.lp_flt layer.ln_flt
      in
@@ -774,50 +726,112 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
     entry_in;
   int_graph, flt_graph, node_of_web, web_of_node_int, web_of_node_flt
 
-(* Briggs' conservative test against the *current round's* graph: the
-   merged node has fewer than [k] neighbors of significant degree, so
-   the merge keeps a simplifiable graph simplifiable. Degrees are the
-   precise post-merge ones — a neighbor shared by both endpoints loses
-   an edge when they fuse, so it is counted at [degree - 1]. Precolored
-   neighbors are always significant. Because the fixpoint rebuilds the
-   graph after every merge round, each round's test sees exact degrees
-   and exact (copy-shrunk) interference, which is what lets the
-   build-time pass coalesce pairs the static in-Simplify tests must
-   refuse.
+(* ---- the in-place round graph of a [Conservative] build ----
 
-   [seen] is the build's stamped scratch: node [t] counts as seen in this
-   call iff [seen.marks.(t) = seen.stamp], so each call starts from an
-   empty set by bumping the stamp, with no allocation. *)
-type seen = { mutable marks : int array; mutable stamp : int }
+   A [Conservative] round needs more than its candidates' interference:
+   Briggs' test reads their neighbors' degrees. Instead of rebuilding the
+   class graphs every round, the build keeps one round graph per class
+   and updates it in place: a square bit row per round-0 node (every web
+   is its own representative at round 0, so every later representative
+   owns a row) plus a degree per node. Adjacency order does not matter
+   here: the graph that gets colored is built from scratch, once. *)
+module Round_graph = struct
+  type t = {
+    width : int; (* words per row *)
+    bits : int array; (* row [n] is [bits.(n * width) ..] *)
+    deg : int array;
+    np : int; (* precolored nodes *)
+  }
 
-let briggs_safe seen (g : Igraph.t) ~k nd ns =
-  let n = Igraph.n_nodes g in
-  (* fresh zeros never equal a stamp, which is >= 1 once bumped *)
-  if Array.length seen.marks < n then seen.marks <- Array.make n 0;
-  seen.stamp <- seen.stamp + 1;
-  let marks = seen.marks and stamp = seen.stamp in
-  let np = Igraph.n_precolored g in
-  let significant = ref 0 in
-  let count other t =
-    if marks.(t) <> stamp then begin
-      marks.(t) <- stamp;
-      if t < np then incr significant
-      else begin
-        let d = Igraph.degree g t in
-        let d = if Igraph.interferes g t other then d - 1 else d in
-        if d >= k then incr significant
-      end
+  let bpw = Sys.int_size
+
+  let mem t a b =
+    t.bits.((a * t.width) + (b / bpw)) land (1 lsl (b mod bpw)) <> 0
+
+  let flip_bit t a b =
+    let i = (a * t.width) + (b / bpw) in
+    t.bits.(i) <- t.bits.(i) lxor (1 lsl (b mod bpw))
+
+  let add t a b =
+    if a <> b && not (mem t a b) then begin
+      flip_bit t a b;
+      flip_bit t b a;
+      t.deg.(a) <- t.deg.(a) + 1;
+      t.deg.(b) <- t.deg.(b) + 1
     end
-  in
-  Igraph.iter_neighbors g nd ~f:(count ns);
-  (* a second-list neighbor already seen was shared and discounted
-     above; an unseen one cannot be adjacent to [nd] *)
-  Igraph.iter_neighbors g ns ~f:(fun t ->
-    if marks.(t) <> stamp then begin
-      marks.(t) <- stamp;
-      if t < np || Igraph.degree g t >= k then incr significant
-    end);
-  !significant < k
+
+  let of_igraph g =
+    let n = Igraph.n_nodes g in
+    let width = (n + bpw - 1) / bpw in
+    let t =
+      { width;
+        bits = Array.make (n * width) 0;
+        deg = Array.make n 0;
+        np = Igraph.n_precolored g }
+    in
+    for a = 0 to n - 1 do
+      Igraph.iter_neighbors g a ~f:(fun b -> if a < b then add t a b)
+    done;
+    t
+
+  (* [f] on every node of row [a] *)
+  let iter_row t a ~f =
+    for w = 0 to t.width - 1 do
+      let x = ref t.bits.((a * t.width) + w) and n = ref (w * bpw) in
+      while !x <> 0 do
+        if !x land 1 <> 0 then f !n;
+        x := !x lsr 1;
+        incr n
+      done
+    done
+
+  (* drop every edge of [a] *)
+  let clear_row t a =
+    iter_row t a ~f:(fun n ->
+      flip_bit t n a;
+      t.deg.(n) <- t.deg.(n) - 1);
+    Array.fill t.bits (a * t.width) t.width 0;
+    t.deg.(a) <- 0
+
+  (* Test hook: add the edge if absent, remove it if present. *)
+  let toggle t a b =
+    if mem t a b then begin
+      flip_bit t a b;
+      flip_bit t b a;
+      t.deg.(a) <- t.deg.(a) - 1;
+      t.deg.(b) <- t.deg.(b) - 1
+    end
+    else add t a b
+
+  (* Briggs' test for merging the non-adjacent nodes [a] and [b]: the
+     merged node must have fewer than [k] significant neighbors, so the
+     merge keeps a simplifiable graph simplifiable. A neighbor is
+     significant when it is precolored or its degree after the merge is
+     at least [k]; a neighbor of both loses one edge in the merge. The
+     count is therefore
+       |(Ra ∪ Rb) ∩ significant| − |Ra ∩ Rb ∩ {degree = k}|,
+     taken word by word over the two rows. *)
+  let briggs_ok t ~k a b =
+    let ra = a * t.width and rb = b * t.width in
+    let significant = ref 0 and w = ref 0 in
+    while !w < t.width && !significant < k do
+      let x = t.bits.(ra + !w) and y = t.bits.(rb + !w) in
+      let union = ref (x lor y) and shared = ref (x land y) in
+      let n = ref (!w * bpw) in
+      while !union <> 0 do
+        if !union land 1 <> 0 then
+          if !n < t.np || t.deg.(!n) - (!shared land 1) >= k then
+            incr significant;
+        union := !union lsr 1;
+        shared := !shared lsr 1;
+        incr n
+      done;
+      incr w
+    done;
+    !significant < k
+
+  let degree t a = t.deg.(a)
+end
 
 (* One coalescing scan over the moves in program order. [mergeable m wd
    ws] decides move [m], whose representatives [wd]/[ws] are candidates,
@@ -848,10 +862,22 @@ let find_coalescable (webs : Webs.t) alias (moves : moves) ~mergeable
   done;
   !merged
 
-(* Test hook for the query cross-check: when set, every query round
-   flips the answer of its first candidate move, so a verified
-   [Aggressive] build must raise [Divergence]. *)
+(* Test hook for the per-round cross-checks: when set, every [Aggressive]
+   round flips the query answer of its first candidate move and every
+   [Conservative] round the round-graph edge between its two classes, so
+   a verified coalescing build must raise [Divergence]. *)
 let seeded_query_flip = ref false
+
+(* The first move, in program order, that is a candidate under [rep]. *)
+let first_candidate (webs : Webs.t) (moves : moves) ~(rep : int array) =
+  let n_moves = Array.length moves.mv_def in
+  let rec go m =
+    if m = n_moves then None
+    else if candidate webs rep.(moves.mv_def.(m)) rep.(moves.mv_use.(m)) then
+      Some m
+    else go (m + 1)
+  in
+  go 0
 
 (* The interference question an [Aggressive] round asks, answered without
    building a graph. For every candidate move [m] (under the snapshot
@@ -952,16 +978,10 @@ let query_interference ?carry (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
             iter_defs moves ~rep ~numbering i ~f:(test_def ~live_after)))
       walk
   end;
-  if !seeded_query_flip then begin
-    let m = ref 0 in
-    while
-      !m < n_moves
-      && not (candidate webs rep.(moves.mv_def.(!m)) rep.(moves.mv_use.(!m)))
-    do
-      incr m
-    done;
-    if !m < n_moves then answer.(!m) <- not answer.(!m)
-  end;
+  if !seeded_query_flip then
+    Option.iter
+      (fun m -> answer.(m) <- not answer.(m))
+      (first_candidate webs moves ~rep);
   answer
 
 let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
@@ -992,13 +1012,12 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
   let touched =
     match touched with Some b -> b | None -> Bitset.create 0
   in
-  (* the cache replays a block against the graph of the previous round,
-     and an [Aggressive] round builds none *)
+  (* the cache serves a pass's round-0 scan, which an [Aggressive] build
+     never runs: its merging rounds query, and it scans in the last one *)
   if mode = Aggressive && cache <> None then
     invalid_arg "Build.build: an Aggressive build takes no edge cache";
   (match cache with Some ec -> Edge_cache.reset_stats ec | None -> ());
   let moves = move_table proc webs in
-  let stamps = { marks = [||]; stamp = 0 } in
   let rep_numbering rep =
     { Liveness.universe = n_webs;
       defs_of = (fun i -> rep_ids rep (base.Liveness.defs_of i));
@@ -1051,63 +1070,6 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
       List.iter (fun i -> f ~def:false i) web.Webs.use_sites;
       w := member_next.(!w)
     done
-  in
-  (* Blocks whose rep-mapped def/use lists changed since the previous
-     round: exactly the blocks containing a def or use site of a web
-     whose representative moved. The edge cache rescans at least these
-     (see below). *)
-  let dirty_blocks ~prev_rep ~rep =
-    let mark = Array.make (Cfg.n_blocks cfg) false in
-    for w = 0 to n_webs - 1 do
-      if prev_rep.(w) <> rep.(w) then begin
-        let web = Webs.web webs w in
-        let mark_site i = mark.(cfg.Cfg.block_of_instr.(i)) <- true in
-        List.iter mark_site web.Webs.def_sites;
-        List.iter mark_site web.Webs.use_sites
-      end
-    done;
-    let out = ref [] in
-    for b = Cfg.n_blocks cfg - 1 downto 0 do
-      if mark.(b) then out := b :: !out
-    done;
-    !out
-  in
-  (* The edge cache must rescan a *superset* of that site-dirty set: a
-     block whose gen/kill survived a merge untouched can still see its
-     scan output change, because a web merged into an *unchanged*
-     representative renames entries of the block's live sets — shifting
-     the emission order within a live-set walk (Bitset iteration follows
-     the new numeric order), or newly hitting the move-source /
-     call-result exclusion. Either effect needs a re-aliased web
-     (equivalently, its previous-round representative) live in the block
-     or holding a site there, so rescanning exactly those blocks keeps
-     the replay bit-identical. *)
-  let cache_dirty_blocks ~prev_rep ~rep ~prev_live ~site_dirty =
-    let n_blocks = Cfg.n_blocks cfg in
-    let mark = Array.make n_blocks false in
-    List.iter (fun b -> mark.(b) <- true) site_dirty;
-    let changed = ref [] in
-    for w = n_webs - 1 downto 0 do
-      if prev_rep.(w) <> rep.(w) then changed := prev_rep.(w) :: !changed
-    done;
-    (match List.sort_uniq Int.compare !changed with
-     | [] -> ()
-     | changed ->
-       for b = 0 to n_blocks - 1 do
-         if not mark.(b) then
-           if
-             List.exists
-               (fun r ->
-                 Bitset.mem (Liveness.block_live_in prev_live b) r
-                 || Bitset.mem (Liveness.block_live_out prev_live b) r)
-               changed
-           then mark.(b) <- true
-       done);
-    let out = ref [] in
-    for b = n_blocks - 1 downto 0 do
-      if mark.(b) then out := b :: !out
-    done;
-    !out
   in
   let check_same_live ~refreshed ~reference =
     for b = 0 to Cfg.n_blocks cfg - 1 do
@@ -1167,13 +1129,106 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
         end)
       answer
   in
+  (* Bring the round graphs [(rig, rfg, node0)] — [node0] the round-0
+     node of every web — from the previous round's aliasing to [rep]'s.
+     Only edges touching a [changed] class can differ: interference
+     between two unchanged classes depends only on their own sites and
+     liveness columns, and a copy source matters only when it is the
+     partner itself (the separability [query_interference]'s carry rests
+     on). So the rows of every changed class — survivor and absorbed —
+     are cleared, and the survivors' rows re-derived with [scan_blocks]'
+     rules, walking only the blocks where a survivor is live out or has a
+     site: nowhere else is it live after an instruction. *)
+  let survivors = Bitset.create n_webs in
+  let update_round_graphs (rig, rfg, node0) ~rep ~numbering ~live changed =
+    let rg_of w =
+      match cls_of_web webs w with Reg.Int_reg -> rig | Reg.Flt_reg -> rfg
+    in
+    List.iter (fun c -> Round_graph.clear_row (rg_of c) node0.(c)) changed;
+    Bitset.clear survivors;
+    List.iter (fun c -> if rep.(c) = c then Bitset.add survivors c) changed;
+    let n_blocks = Cfg.n_blocks cfg in
+    let walk = Array.make n_blocks false in
+    Bitset.iter
+      (fun c ->
+        class_sites c (fun ~def:_ i ->
+          walk.(cfg.Cfg.block_of_instr.(i)) <- true))
+      survivors;
+    let edge a b = Round_graph.add (rg_of a) node0.(a) node0.(b) in
+    (* a survivor's definition interferes with everything live after it;
+       any other definition only with the survivors live after it *)
+    let def_edges ~live_after d ~excluding =
+      let cls = cls_of_web webs d in
+      let emit l =
+        if l <> d && l <> excluding && cls_of_web webs l = cls then edge d l
+      in
+      if Bitset.mem survivors d then Bitset.iter emit live_after
+      else Bitset.iter_inter emit live_after survivors
+    in
+    let clobber_edges ~live_after ret_rep =
+      Bitset.iter_inter
+        (fun l ->
+          if l <> ret_rep then
+            List.iter
+              (fun p -> Round_graph.add (rg_of l) p node0.(l))
+              (Machine.caller_save machine (cls_of_web webs l)))
+        live_after survivors
+    in
+    for b = 0 to n_blocks - 1 do
+      if walk.(b) || Bitset.intersects survivors (Liveness.block_live_out live b)
+      then
+        Liveness.iter_block_backward live b ~f:(fun i ~live_after ->
+          iter_defs moves ~rep ~numbering i ~f:(def_edges ~live_after);
+          Option.iter (clobber_edges ~live_after)
+            (call_result webs proc.code.(i) ~rep i))
+    done;
+    let entry_in = Liveness.block_live_in live 0 in
+    Bitset.iter_inter
+      (fun s ->
+        Bitset.iter
+          (fun l ->
+            if l <> s && cls_of_web webs l = cls_of_web webs s then edge s l)
+          entry_in)
+      entry_in survivors
+  in
+  (* the round graphs hold exactly the edges of [ig]/[fg], graphs built
+     for [rep]'s aliasing with [now] their node of each representative;
+     an absorbed class's row is empty *)
+  let check_round_graphs (rig, rfg, node0) ~rep (ig, fg, now, wni, wnf) =
+    for w = 0 to n_webs - 1 do
+      let rg, g, web_of_node =
+        match cls_of_web webs w with
+        | Reg.Int_reg -> rig, ig, wni
+        | Reg.Flt_reg -> rfg, fg, wnf
+      in
+      let n0 = node0.(w) in
+      if rep.(w) <> w then begin
+        if Round_graph.degree rg n0 <> 0 then
+          div "%s: the round graph keeps %d edges of absorbed web %d"
+            proc.name (Round_graph.degree rg n0) w
+      end
+      else begin
+        let n = now.(w) and np = Igraph.n_precolored g in
+        if Round_graph.degree rg n0 <> Igraph.degree g n then
+          div "%s: web %d has degree %d in the round graph, %d in the \
+               reference graph"
+            proc.name w (Round_graph.degree rg n0) (Igraph.degree g n);
+        Igraph.iter_neighbors g n ~f:(fun v ->
+          let v0 = if v < np then v else node0.(web_of_node.(v - np)) in
+          if not (Round_graph.mem rg n0 v0) then
+            div "%s: the round graph misses the edge of web %d to node %d"
+              proc.name w v)
+      end
+    done
+  in
   let parallel =
     match pool with Some p -> Pool.jobs p > 1 | None -> false
   in
-  let rec fixpoint total ~first ~rounds ~prev_rep ~prev_live ~prev_answer =
+  let rec fixpoint total ~first ~rounds ~prev_rep ~prev_live ~prev_answer
+      ~round_graphs =
     let rep = Array.init (max n_webs 1) (Union_find.find alias) in
     let numbering = rep_numbering rep in
-    let live, cache_dirty =
+    let live, changed =
       if first then base_live, []
       else begin
         let changed = changed_columns ~prev_rep ~rep in
@@ -1186,27 +1241,17 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
           Telemetry.span tele Phase.Verify (fun () ->
             check_same_live ~refreshed
               ~reference:(Liveness.compute ~code:proc.code ~cfg numbering));
-        let cache_dirty =
-          match cache with
-          | None -> []
-          | Some _ ->
-            cache_dirty_blocks ~prev_rep ~rep ~prev_live
-              ~site_dirty:(dirty_blocks ~prev_rep ~rep)
-        in
-        refreshed, cache_dirty
+        refreshed, changed
       end
     in
-    (* this round's graphs, cross-checked under [verify] when they came
-       from the pool or the cache *)
+    (* this round's graphs — the edge cache serves round 0 only —
+       cross-checked under [verify] when they came from the pool or the
+       cache *)
     let graphs () =
-      let round_cache =
-        match cache with
-        | None -> None
-        | Some ec -> Some (ec, if first then Round0 else Later cache_dirty)
-      in
+      let cache = if first then cache else None in
       let ((ig, fg, _, _, _) as built) =
         build_graphs machine proc cfg webs ~moves ~rep ~numbering ~live
-          ~scratch ~pool ~par ~cache:round_cache ~tele
+          ~scratch ~pool ~par ~cache ~tele
       in
       if verify && (parallel || cache <> None) then
         Telemetry.span tele Phase.Verify (fun () ->
@@ -1222,30 +1267,63 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
       built
     in
     let finish (ig, fg, now, wni, wnf) = ig, fg, now, wni, wnf, total, rounds in
-    let next ?answer merged =
+    let next ?answer ?round_graphs merged =
       fixpoint (total + merged) ~first:false ~rounds:(rounds + 1)
-        ~prev_rep:rep ~prev_live:live ~prev_answer:answer
+        ~prev_rep:rep ~prev_live:live ~prev_answer:answer ~round_graphs
     in
     match mode with
     | Off -> finish (graphs ())
+    | Conservative when first && first_candidate webs moves ~rep = None ->
+      finish (graphs ())
     | Conservative ->
-      (* the same fixpoint as [Aggressive], but each round builds its
-         graph, since the Briggs test needs neighbor degrees: the pre-pass
-         only takes the merges the worklist drive could never regret; the
-         moves it leaves behind become the staged IRC worklist below *)
-      let ((ig, fg, now, _, _) as built) = graphs () in
+      (* the same fixpoint as [Aggressive], gated on Briggs' test as well:
+         the pre-pass only takes the merges the worklist drive could never
+         regret; the moves it leaves behind become the staged IRC worklist
+         below. Round 0 loads the round graphs from its scan; a merging
+         round updates them in place, and the graph is scanned again only
+         in the round that merges nothing. *)
+      let round0 = if first then Some (graphs ()) else None in
+      let ((rig, rfg, node0) as rgs) =
+        match round0, round_graphs with
+        | Some (ig, fg, now, _, _), _ ->
+          Round_graph.of_igraph ig, Round_graph.of_igraph fg, now
+        | None, Some rgs ->
+          Telemetry.span tele Phase.Scan
+            ~args:(fun () -> [ "proc", proc.name; "kind", "round" ])
+            (fun () ->
+              update_round_graphs rgs ~rep ~numbering ~live changed);
+          rgs
+        | None, None -> invalid_arg "Build.build: a round without a graph"
+      in
+      let rg_of w =
+        match cls_of_web webs w with Reg.Int_reg -> rig | Reg.Flt_reg -> rfg
+      in
+      if !seeded_query_flip then
+        Option.iter
+          (fun m ->
+            let a = rep.(moves.mv_def.(m)) and b = rep.(moves.mv_use.(m)) in
+            Round_graph.toggle (rg_of a) node0.(a) node0.(b))
+          (first_candidate webs moves ~rep);
+      if verify then
+        Telemetry.span tele Phase.Verify (fun () ->
+          check_round_graphs rgs ~rep
+            (match round0 with
+             | Some built -> built
+             | None -> reference_graphs ~rep ~numbering ~live));
       let mergeable _ wd ws =
-        let cls = cls_of_web webs wd in
-        let g = match cls with Reg.Int_reg -> ig | Reg.Flt_reg -> fg in
-        let nd = now.(wd) and ns = now.(ws) in
-        (not (Igraph.interferes g nd ns))
-        && briggs_safe stamps g ~k:(Machine.regs machine cls) nd ns
+        let rg = rg_of wd and a = node0.(wd) and b = node0.(ws) in
+        (not (Round_graph.mem rg a b))
+        && Round_graph.briggs_ok rg
+             ~k:(Machine.regs machine (cls_of_web webs wd))
+             a b
       in
       let merged =
         Telemetry.span tele Phase.Coalesce (fun () ->
           find_coalescable webs alias moves ~mergeable ~touched)
       in
-      if merged = 0 then finish built else next merged
+      if merged > 0 then next ~round_graphs:rgs merged
+      else
+        finish (match round0 with Some built -> built | None -> graphs ())
     | Aggressive ->
       (* a merging round only needs its candidate moves' interference:
          query those pairs, and build the graph once, in the round that
@@ -1273,7 +1351,7 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
   let int_graph, flt_graph, node_of_web, web_of_node_int, web_of_node_flt,
       moves_coalesced, rounds =
     fixpoint 0 ~first:true ~rounds:1 ~prev_rep:[||] ~prev_live:base_live
-      ~prev_answer:None
+      ~prev_answer:None ~round_graphs:None
   in
   (* The distinct move pairs still live under the final aliasing, as
      node-id pairs per class. [Conservative] *stages* them — they become

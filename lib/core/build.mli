@@ -30,17 +30,17 @@ open Ra_analysis
     block order, reproducing the sequential graph bit for bit (adjacency
     insertion order included, which coloring outcomes depend on).
 
-    The scan can also run *incrementally* against an {!Edge_cache}: only
-    blocks invalidated since the previous round — spill-dirtied blocks at
-    a pass's first round, blocks holding a site of a re-aliased web at
-    later coalescing rounds — are rescanned; every other block replays
-    its cached pair sequence remapped through the current aliasing. The
+    A pass's round-0 scan can also run *incrementally* against an
+    {!Edge_cache}: only the blocks that received spill code since the
+    previous pass are rescanned; every other block replays its cached
+    pair sequence, renamed through {!Webs.rebuild}'s renumbering. The
     replayed event stream is identical to a from-scratch scan's, so the
     resulting graphs (adjacency order included) are bit-identical. *)
 
 (** Raised when a [verify] cross-check finds the parallel or cache-backed
-    graph, or the refreshed liveness, differing from a sequential
-    uncached recomputation. *)
+    graph, an interference-query answer, a [Conservative] round graph,
+    or the refreshed liveness differing from a sequential uncached
+    recomputation. *)
 exception Divergence of string
 
 type t = {
@@ -59,8 +59,8 @@ type t = {
   rounds : int;
     (* coalescing rounds this build ran: 1 + the rounds that merged
        something ([Aggressive] builds a graph in the last one only) *)
-  cache_hits : int; (* blocks replayed from the edge cache, all rounds *)
-  cache_misses : int; (* blocks rescanned, all rounds (0 without cache) *)
+  cache_hits : int; (* blocks replayed from the edge cache (round 0) *)
+  cache_misses : int; (* blocks rescanned at round 0 (0 without cache) *)
   moves_int : (int * int) array;
     (* [Conservative] only: the distinct int-class move pairs, as
        (dst, src) node ids of this build's graph, in first-occurrence
@@ -72,12 +72,18 @@ type t = {
 (** How {!build} treats copies.
     - [Aggressive]: Chaitin's scheme — merge any non-interfering copy and
       rebuild until fixpoint (the seed behavior; [~coalesce:true]).
-    - [Conservative]: the same rebuild-between-rounds fixpoint, but every
-      merge is additionally gated on a Briggs safety test (< k significant
-      neighbors in the union adjacency) against that round's freshly
-      rebuilt graph — merges that cannot create spills. The move pairs
-      left unmerged at fixpoint are staged into [moves_int]/[moves_flt]
-      for the IRC heuristic to coalesce conservatively *during* Simplify.
+    - [Conservative]: the same fixpoint, but every merge is additionally
+      gated on a Briggs safety test (< k significant neighbors in the
+      union adjacency) against that round's exact graph — merges that
+      cannot create spills. The graphs are scanned at round 0 and then
+      kept as an in-place round graph: a merging round clears the rows
+      of the classes it merged and re-derives the survivors' rows from
+      the blocks where they are live or occur, since edges between
+      unmerged classes cannot change. The graph handed to coloring is
+      scanned once more, in the round that merges nothing (when that is
+      not round 0). The move pairs left unmerged at fixpoint are staged
+      into [moves_int]/[moves_flt] for the IRC heuristic to coalesce
+      conservatively *during* Simplify.
     - [Off]: merge nothing, stage nothing ([~coalesce:false]). *)
 type coalesce_mode =
   | Aggressive
@@ -91,10 +97,10 @@ type par_scratch
 
 val par_scratch : unit -> par_scratch
 
-(** Per-block cache of the edge scan's staged pair sequences, owned by
-    the allocation context (one per context, reused across rounds, passes
-    and procedures of a run). Entries are keyed by CFG block and store
-    *web-granular* pairs, so they survive the per-round node renumbering;
+(** Per-block cache of the round-0 edge scan's pair sequences, owned by
+    the allocation context (one per context, reused across passes and
+    procedures of a run). Entries are keyed by CFG block and store
+    *web-granular* pairs, so they survive the spill pass's renumbering;
     the invalidation protocol is the caller's contract:
 
     - {!Edge_cache.clear} before an unrelated procedure (or to drop all
@@ -105,16 +111,11 @@ val par_scratch : unit -> par_scratch
       invalidates the blocks that received spill code — the same dirty
       set handed to {!Liveness.update}.
 
-    Only [Conservative] builds (every round) and [Off] builds (across
-    spill passes) take one; {!build} raises [Invalid_argument] when an
-    [Aggressive] build is given a cache.
-
-    Within one {!build}, invalidation is automatic: a coalescing round
-    rescans the blocks holding a site of a re-aliased web plus every block
-    where a re-aliased web's former representative was live or had a
-    site — a merge can reorder another web's scan position or newly
-    capture it in a copy/call exclusion even where liveness sets are
-    unchanged (see the rationale in build.ml). *)
+    Only [Conservative] and [Off] builds take one, and only their
+    round-0 scan reads it (later [Conservative] rounds update their
+    round graph in place, and the final scan runs uncached);
+    {!build} raises [Invalid_argument] when an [Aggressive] build is
+    given a cache. *)
 module Edge_cache : sig
   type t
 
@@ -133,7 +134,7 @@ module Edge_cache : sig
   val remap : t -> old_to_new:int array -> dirty_blocks:int list -> unit
 
   (** Blocks replayed / rescanned by the most recent {!build} using this
-      cache (summed over its coalescing rounds). *)
+      cache (its round-0 scan). *)
   val hits : t -> int
 
   val misses : t -> int
@@ -152,16 +153,18 @@ end
 (** Test hook for the race detector: when set, every parallel
     cache-backed rescan task additionally invalidates the first block of
     the next chunk — memory-safe, but a logically concurrent write into
-    a sibling task's declared edge-cache slot range. It is not
-    output-preserving (an entry invalidated after its rescan replays a
-    stale layer in a later round), so run it with [verify] off.
-    [RA_RACE_CHECK] must flag it as both a write/write race and a
-    footprint violation, under any schedule. *)
+    a sibling task's declared edge-cache slot range. It is
+    output-preserving (replay ignores the flag; a lost validity only
+    costs a rescan at the next pass). [RA_RACE_CHECK] must flag it as
+    both a write/write race and a footprint violation, under any
+    schedule. *)
 val seeded_cache_race : bool ref
 
-(** Test hook for the interference-query cross-check: when set, every
+(** Test hook for the per-round cross-checks: when set, every
     [Aggressive] coalescing round flips the query answer of its first
-    candidate move. A build with [verify] must then raise {!Divergence}. *)
+    candidate move, and every [Conservative] round flips the round-graph
+    edge between that move's two classes. A build with [verify] must
+    then raise {!Divergence}. *)
 val seeded_query_flip : bool ref
 
 (** Cut the CFG's blocks into at most [n_chunks] contiguous ranges of
@@ -193,17 +196,19 @@ val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
     supplies the staging buffers; [touched] the coalescing scan's
     scratch set). [cache] makes the scan incremental (see
     {!Edge_cache}); with a pool, workers rescan only the dirty blocks of
-    their chunk. [verify] cross-checks, every fixpoint round, the
-    parallel/cached graphs against a sequential uncached rebuild, every
-    [Aggressive] round's interference-query answers against that
-    rebuild's edges, and the refreshed liveness against a full solve,
-    raising {!Divergence} on any difference. Results are bit-identical
-    with and without a pool, and with and without a cache.
+    their chunk. [verify] cross-checks the parallel/cached graphs
+    against a sequential uncached rebuild, and, every fixpoint round,
+    an [Aggressive] round's interference-query answers against that
+    rebuild's edges, a [Conservative] round graph's edges and degrees
+    against that rebuild, and the refreshed liveness against a full
+    solve, raising {!Divergence} on any difference. Results are
+    bit-identical with and without a pool, and with and without a
+    cache.
 
     [tele] (default {!Ra_support.Telemetry.null}) receives the build's
-    internal spans: {!Ra_support.Phase.Scan} around every edge scan and
-    interference query — emitted from inside the pool workers, so a
-    sharded scan traces as per-domain tracks —
+    internal spans: {!Ra_support.Phase.Scan} around every edge scan,
+    interference query and round-graph update — emitted from inside the
+    pool workers, so a sharded scan traces as per-domain tracks —
     {!Ra_support.Phase.Liveness} around solves and refreshes,
     {!Ra_support.Phase.Coalesce} around the copy-merge scan, and
     {!Ra_support.Phase.Verify} around the [verify] cross-checks. *)

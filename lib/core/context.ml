@@ -99,10 +99,10 @@ let buckets t = t.buckets
 let stats t = t.stats
 let edge_cache_enabled t = t.edge_cache_on
 
-(* The cache a [mode] build reads: only [Conservative] builds (every
-   coalescing round) and [Off] builds (across spill passes) replay
-   anything from it. An [Aggressive] build scans once per pass, so it
-   gets none, and a context that only runs those never creates one. *)
+(* The cache a [mode] build reads: only the round-0 scans of
+   [Conservative] and [Off] builds replay anything from it. An
+   [Aggressive] build scans only after its merging rounds, so it gets
+   none, and a context that only runs those never creates one. *)
 let edge_cache_for t (mode : Build.coalesce_mode) =
   match mode with
   | Build.Aggressive -> None
@@ -198,8 +198,8 @@ let scratch_build ?(reference = false) t (proc : Proc.t) ~is_spill_vreg
     else begin
       (* A scratch pass starts from a web numbering the cache knows
          nothing about (no remap ran), so whatever it holds is stale:
-         drop it. Round 0 rescans everything; the cache still pays off
-         within the pass, on the coalescing rounds. *)
+         drop it. Round 0 rescans everything into it; the next spill
+         pass replays the blocks its spill code left clean. *)
       let cache = edge_cache_for t mode in
       Option.iter Build.Edge_cache.clear cache;
       Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ?scratch

@@ -25,17 +25,17 @@
     against a fresh one and any difference raises {!Divergence}.
 
     The context also owns the {!Build.Edge_cache}: per-block staged edge
-    pairs that let every build after a procedure's first round rescan
-    only dirty blocks (coalescing rounds reuse clean blocks within a
-    pass; spill passes carry the cache across via the same canonical
-    renumbering and dirty-block report the liveness update uses). Only
-    conservative (irc) and no-coalesce builds read it; aggressive builds
-    build one graph per pass and leave it alone.
+    pairs that let a spill pass's round-0 scan rescan only the blocks
+    that received spill code (the cache crosses the pass boundary via
+    the same canonical renumbering and dirty-block report the liveness
+    update uses). Only conservative (irc) and no-coalesce builds read
+    it; aggressive builds query their merging rounds, scan once per
+    pass, and leave it alone.
 
     [RA_INCREMENTAL=0] disables the incremental path entirely — every
     pass then rebuilds from scratch (still into the reused buffers);
     [RA_EDGE_CACHE=0] disables the edge cache alone, forcing a full
-    block scan every round. *)
+    round-0 block scan every pass. *)
 
 exception Divergence of string
 

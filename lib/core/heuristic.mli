@@ -12,8 +12,9 @@
       ablation.
     - {!Irc}: George–Appel iterated register coalescing ({!Irc.run}) —
       conservative coalescing (Briggs/George tests) interleaved with the
-      degree-ordered Simplify loop over the move worklist Build staged
-      in its [Conservative] mode, with Briggs-style optimistic select. *)
+      degree-ordered Simplify loop over the moves Build's
+      [Conservative] pre-pass left unmerged, with Briggs-style
+      optimistic select. *)
 
 type t =
   | Chaitin
@@ -47,7 +48,8 @@ val of_name : string -> t option
 
     [moves] (meaningful to {!Irc} only; default [[||]]) is the staged
     (dst, src) move-pair worklist for this graph — [Build.moves_int] /
-    [Build.moves_flt] of a [Conservative] build. [irc_stats] accumulates
+    [Build.moves_flt] of a [Conservative] build, the moves its
+    Briggs-gated rounds left unmerged. [irc_stats] accumulates
     {!Irc.stats} across calls (the pipeline shares one record over both
     class graphs of a pass); [on_coalesce] is handed through to
     {!Irc.run} so the caller can union the underlying webs per merge.

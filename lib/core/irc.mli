@@ -3,7 +3,9 @@
     Simplify loop, on move worklists.
 
     The engine consumes one class graph plus the move pairs Build staged
-    under its [Conservative] mode and runs Appel's worklist algorithm:
+    under its [Conservative] mode — the moves its Briggs-gated pre-pass,
+    run against an in-place round graph, left unmerged — and runs
+    Appel's worklist algorithm:
     every move sits in exactly one of five sets — {e worklist} (ready to
     test), {e active} (blocked, re-enabled when a neighbor's degree
     drops below k), {e frozen} (given up: an endpoint was frozen or

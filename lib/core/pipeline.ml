@@ -196,8 +196,8 @@ module Color_pass = struct
   (* Irc's per-merge hook: union the endpoints' webs and let the
      union-find's rank decision pick the surviving node, so node
      aliasing inside the engine and web aliasing in [built.Build.alias]
-     stay one partition. Spill grouping, rewrite and the edge cache all
-     resolve webs through that forest, which is exactly what makes a
+     stay one partition. Spill grouping and rewrite both resolve webs
+     through that forest, which is exactly what makes a
      conservatively coalesced node's members land on its color. *)
   let on_coalesce built cls a b =
     let wa = Build.web_of_node built cls a in
@@ -576,8 +576,7 @@ and color st pass_index ~timer (b : built_pass) =
      slot, matching the combined cost/degree basis the election used.
      Only *after* that does a spilling pass abandon its conservative
      merges, so the next pass's incremental build sees the pristine
-     partition (the edge cache replays web-granular pairs through this
-     same forest).
+     partition.
 
      The conservative tests guarantee merges keep a *simplifiable* graph
      simplifiable; on a pass that spills anyway, the graph was not
@@ -729,7 +728,7 @@ let run cfgn ~context machine heuristic (original : Proc.t) : outcome =
    "the build this pass used took this long", even though the fan-out
    ran it once. The build is context-free on purpose: the fan-out must
    not share any pipeline's scratch graphs. *)
-let build_shared cfgn machine ~tele ?pool ?cache ~mode (proc : Proc.t) =
+let build_shared cfgn machine ~tele ?pool ~mode (proc : Proc.t) =
   (* input lint once: byte-identical input for every pipeline of the
      fan-out, so one verdict serves them all *)
   if cfgn.verify then
@@ -745,7 +744,7 @@ let build_shared cfgn machine ~tele ?pool ?cache ~mode (proc : Proc.t) =
       let cfg = Cfg.build proc.Proc.code in
       let webs = Webs.build proc cfg ~is_spill_vreg:(fun _ -> false) in
       let built =
-        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool ?cache
+        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool
           ~verify:cfgn.verify ~tele ()
       in
       cfg, webs, built)
@@ -772,25 +771,18 @@ let dag_submit sched ~label ~footprint : step =
  fun ~stage fn ->
   ignore (Scheduler.submit sched ~name:(stage ^ ":" ^ label) ~footprint fn)
 
-let submit_dag sched cfgn machine ~tele ?bpool ?(edge_cache = true)
-    ~pipelines (original : Proc.t) =
+let submit_dag sched cfgn machine ~tele ?bpool ~pipelines (original : Proc.t)
+    =
   (* One aggressive build fans out to every classic pipeline. Irc
      pipelines cannot join the fan-out: they need a Conservative build
      (staged move worklists instead of fixpoint merging), and their
      conservative coalescing unions the build's alias forest mid-color —
      a write into what the sharing argument requires to be read-only. So
-     each irc pipeline gets its own build task, private cache included,
-     and chains off that token instead of the shared one. *)
+     each irc pipeline gets its own build task and chains off that token
+     instead of the shared one. *)
   let submit_build ~label ~mode =
     let token = Atomic.fetch_and_add next_state_token 1 in
     let cell = ref None in
-    (* only a Conservative build scans more than once, so only it can
-       replay anything from a build-private cache *)
-    let cache =
-      if edge_cache && mode = Build.Conservative then
-        Some (Build.Edge_cache.create ())
-      else None
-    in
     ignore
       (Scheduler.submit sched ~name:("build:" ^ label)
          ~footprint:
@@ -799,8 +791,7 @@ let submit_dag sched cfgn machine ~tele ?bpool ?(edge_cache = true)
          (fun () ->
            cell :=
              Some
-               (build_shared cfgn machine ~tele ?pool:bpool ?cache ~mode
-                  original)));
+               (build_shared cfgn machine ~tele ?pool:bpool ~mode original)));
     token, cell
   in
   let shared =

@@ -111,17 +111,16 @@ val run :
 
     [tele] is the shared build task's sink; each pipeline reports into
     its context's sink as usual. [bpool] (typically
-    {!Ra_support.Scheduler.pool}) shards the shared build's edge scan;
-    [edge_cache] (default on) gives each irc pipeline's conservative
-    build a private cache for its coalescing rounds; the shared build
-    builds one graph and needs none. *)
+    {!Ra_support.Scheduler.pool}) shards the shared build's edge scan.
+    First-pass builds take no edge cache: a cache pays only across the
+    spill passes of one context, whose later passes read the pipeline
+    context's own. *)
 val submit_dag :
   Ra_support.Scheduler.t ->
   config ->
   Machine.t ->
   tele:Ra_support.Telemetry.t ->
   ?bpool:Ra_support.Pool.t ->
-  ?edge_cache:bool ->
   pipelines:(Heuristic.t * Context.t) list ->
   Ra_ir.Proc.t ->
   outcome option ref list

@@ -143,15 +143,49 @@ let clear t =
   log_write t;
   Array.fill t.words 0 (Array.length t.words) 0
 
+(* [f] on the set bits of [word], ascending, numbered from [base]: zero
+   bytes are skipped whole and the walk stops past the highest set bit,
+   so a sparse word costs a few steps rather than one per bit. *)
+let iter_word f base word =
+  let x = ref word and n = ref base in
+  while !x <> 0 do
+    if !x land 0xff = 0 then begin
+      x := !x lsr 8;
+      n := !n + 8
+    end
+    else begin
+      if !x land 1 <> 0 then f !n;
+      x := !x lsr 1;
+      incr n
+    end
+  done
+
 let iter f t =
   log_read t;
   for w = 0 to Array.length t.words - 1 do
     let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    if word <> 0 then iter_word f (w * bits_per_word) word
   done
+
+(* [iter_inter f a b] visits [a ∩ b] ascending without materializing it:
+   words with no common bit are skipped whole. *)
+let iter_inter f a b =
+  same_universe a b;
+  log_read a;
+  log_read b;
+  for w = 0 to words_for a.n - 1 do
+    let word = a.words.(w) land b.words.(w) in
+    if word <> 0 then iter_word f (w * bits_per_word) word
+  done
+
+let intersects a b =
+  same_universe a b;
+  log_read a;
+  log_read b;
+  let rec go w =
+    w < words_for a.n && (a.words.(w) land b.words.(w) <> 0 || go (w + 1))
+  in
+  go 0
 
 let elements t =
   let acc = ref [] in

@@ -45,5 +45,12 @@ val cardinal : t -> int
 val clear : t -> unit
 
 val iter : (int -> unit) -> t -> unit
+
+(** [iter_inter f a b] applies [f] to every element of [a ∩ b], ascending,
+    without allocating. Same universe required. *)
+val iter_inter : (int -> unit) -> t -> t -> unit
+
+(** [intersects a b] iff [a ∩ b] is non-empty. Same universe required. *)
+val intersects : t -> t -> bool
 val elements : t -> int list
 val of_list : int -> int list -> t

@@ -738,6 +738,178 @@ let webs_rebuild_noop_is_identity () =
         (Webs.defs_at webs i) (Webs.defs_at rebuilt i))
     p.Proc.code
 
+(* ---- reference: web construction through hash tables ----
+
+   [Webs.build] as it was before it moved to arrays indexed by
+   representative: six hash tables, a min-def sort for the canonical ids,
+   and a per-block hash table of in-block definitions for the use walk.
+   The array version must produce the same table. *)
+
+type reference_webs = {
+  rw_webs : Webs.web array;
+  rw_use_maps : (int * int) list array; (* instr -> (vreg index, web) *)
+  rw_def_maps : (int * int) list array;
+}
+
+let reference_iter_uses (p : Proc.t) (cfg : Cfg.t) rd ~f =
+  let n_vregs = p.Proc.next_int + p.Proc.next_flt in
+  let defs_of_vreg = Array.make n_vregs [] in
+  for d = Reaching_defs.n_defs rd - 1 downto 0 do
+    let v = Reaching_defs.vreg_of rd d in
+    defs_of_vreg.(v) <- d :: defs_of_vreg.(v)
+  done;
+  let index = Liveness.vreg_index p in
+  Array.iter
+    (fun (b : Cfg.block) ->
+      let local = Hashtbl.create 16 in
+      let rin = Reaching_defs.reaching_in rd b.Cfg.bindex in
+      for i = b.Cfg.first to b.Cfg.last do
+        List.iter
+          (fun u ->
+            let v = index u in
+            let reaching =
+              match Hashtbl.find_opt local v with
+              | Some d -> [ d ]
+              | None ->
+                List.filter (fun d -> Ra_support.Bitset.mem rin d)
+                  defs_of_vreg.(v)
+            in
+            f i v (if reaching = [] then [ v ] else reaching))
+          (Instr.uses p.Proc.code.(i).Proc.ins);
+        match Reaching_defs.def_at rd i with
+        | Some d -> Hashtbl.replace local (Reaching_defs.vreg_of rd d) d
+        | None -> ()
+      done)
+    cfg.Cfg.blocks
+
+let reference_webs (p : Proc.t) cfg ~is_spill_vreg =
+  let n_instr = Array.length p.Proc.code in
+  let n_vregs = p.Proc.next_int + p.Proc.next_flt in
+  let rd = Reaching_defs.compute p cfg in
+  let uf = Ra_support.Union_find.create (Reaching_defs.n_defs rd) in
+  let find = Ra_support.Union_find.find uf in
+  reference_iter_uses p cfg rd ~f:(fun _ _ reaching ->
+    match reaching with
+    | [] -> assert false
+    | first :: rest ->
+      List.iter
+        (fun d -> ignore (Ra_support.Union_find.union uf first d))
+        rest);
+  let vreg_of_rep = Hashtbl.create 64 in
+  let def_sites = Hashtbl.create 64 and use_sites = Hashtbl.create 64 in
+  let push tbl rep i =
+    Hashtbl.replace tbl rep
+      (i :: Option.value ~default:[] (Hashtbl.find_opt tbl rep))
+  in
+  let note_rep rep v =
+    if not (Hashtbl.mem vreg_of_rep rep) then Hashtbl.replace vreg_of_rep rep v
+  in
+  for i = 0 to n_instr - 1 do
+    match Reaching_defs.def_at rd i with
+    | None -> ()
+    | Some d ->
+      let rep = find d in
+      note_rep rep (Reaching_defs.vreg_of rd d);
+      push def_sites rep i
+  done;
+  let use_maps = Array.make n_instr [] in
+  reference_iter_uses p cfg rd ~f:(fun i v reaching ->
+    let rep = find (List.hd reaching) in
+    note_rep rep v;
+    push use_sites rep i;
+    use_maps.(i) <- (v, rep) :: use_maps.(i));
+  let entry = Hashtbl.create 64 in
+  for v = 0 to n_vregs - 1 do
+    if Hashtbl.mem vreg_of_rep (find v) then Hashtbl.replace entry (find v) ()
+  done;
+  let min_def = Hashtbl.create 64 in
+  for d = 0 to Reaching_defs.n_defs rd - 1 do
+    let rep = find d in
+    if Hashtbl.mem vreg_of_rep rep && not (Hashtbl.mem min_def rep) then
+      Hashtbl.replace min_def rep d
+  done;
+  let reps =
+    Hashtbl.fold (fun rep _ acc -> rep :: acc) vreg_of_rep []
+    |> List.sort (fun a b ->
+         Int.compare (Hashtbl.find min_def a) (Hashtbl.find min_def b))
+  in
+  let web_of_rep = Hashtbl.create 64 in
+  let webs =
+    List.mapi
+      (fun w_id rep ->
+        Hashtbl.replace web_of_rep rep w_id;
+        let v = Hashtbl.find vreg_of_rep rep in
+        let vreg =
+          if v < p.Proc.next_int then Reg.int v
+          else Reg.flt (v - p.Proc.next_int)
+        in
+        let sites tbl =
+          List.rev (Option.value ~default:[] (Hashtbl.find_opt tbl rep))
+        in
+        { Webs.w_id;
+          cls = vreg.Reg.cls;
+          vreg;
+          def_sites = sites def_sites;
+          use_sites = sites use_sites;
+          has_entry_def = Hashtbl.mem entry rep;
+          spill_temp = is_spill_vreg vreg })
+      reps
+    |> Array.of_list
+  in
+  let to_web (v, rep) = v, Hashtbl.find web_of_rep rep in
+  { rw_webs = webs;
+    rw_use_maps = Array.map (List.map to_web) use_maps;
+    rw_def_maps =
+      Array.init n_instr (fun i ->
+        match Reaching_defs.def_at rd i with
+        | None -> []
+        | Some d -> [ to_web (Reaching_defs.vreg_of rd d, find d) ]) }
+
+(* The table [Webs.build] produced, read back through its interface, is
+   the reference's: same webs, and at every instruction the same web for
+   each register occurrence and the same per-instruction web lists. *)
+let webs_match_reference (p : Proc.t) =
+  let cfg = Cfg.build p.Proc.code in
+  let is_spill_vreg (r : Reg.t) = r.Reg.id mod 5 = 0 in
+  let got = Webs.build p cfg ~is_spill_vreg in
+  let want = reference_webs p cfg ~is_spill_vreg in
+  let reg_of v =
+    if v < p.Proc.next_int then Reg.int v else Reg.flt (v - p.Proc.next_int)
+  in
+  Webs.webs got = want.rw_webs
+  && List.for_all
+       (fun i ->
+         List.for_all
+           (fun (v, w) -> Webs.use_web got i (reg_of v) = w)
+           want.rw_use_maps.(i)
+         && List.for_all
+              (fun (v, w) -> Webs.def_web got i (reg_of v) = w)
+              want.rw_def_maps.(i)
+         && Webs.uses_at got i
+            = List.sort_uniq Int.compare (List.map snd want.rw_use_maps.(i))
+         && Webs.defs_at got i = List.map snd want.rw_def_maps.(i))
+       (List.init (Array.length p.Proc.code) Fun.id)
+
+let prop_webs_match_reference =
+  QCheck.Test.make ~name:"webs build matches the hash-table reference"
+    ~count:40
+    QCheck.(triple (int_bound 1000000) (int_range 1 40) bool)
+    (fun (seed, size, optimize) ->
+      let procs = Codegen.compile_source (Progen.generate ~seed ~size) in
+      if optimize then Ra_opt.Opt.optimize_all procs;
+      List.for_all webs_match_reference procs)
+
+let webs_match_reference_on_suite () =
+  List.iter
+    (fun program ->
+      List.iter
+        (fun (p : Proc.t) ->
+          Alcotest.(check bool)
+            (p.Proc.name ^ " matches the reference")
+            true (webs_match_reference p))
+        (Ra_programs.Suite.compile program))
+    Ra_programs.Suite.all
+
 let suites =
   [ ( "analysis.liveness",
       [ Alcotest.test_case "straight line" `Quick liveness_straight_line;
@@ -769,4 +941,7 @@ let suites =
           webs_args_have_entry_defs;
         Alcotest.test_case "spill temp flag" `Quick webs_spill_temp_flag;
         Alcotest.test_case "rebuild noop is identity" `Quick
-          webs_rebuild_noop_is_identity ] ) ]
+          webs_rebuild_noop_is_identity;
+        Alcotest.test_case "suite matches the reference" `Quick
+          webs_match_reference_on_suite;
+        qtest prop_webs_match_reference ] ) ]

@@ -235,9 +235,9 @@ let prop_parallel_equals_sequential =
 let edge_cache_reused_across_passes () =
   (* a multi-pass spilling allocation through a cache-backed context must
      replay clean blocks from the cache on every pass after the first —
-     and still reproduce the uncached result exactly. Irc is the cache's
-     user: its Conservative builds rebuild the graph every round, while
-     the aggressive heuristics build one graph per pass, uncached. *)
+     and still reproduce the uncached result exactly. Irc's Conservative
+     builds read it in each pass's round-0 scan; the aggressive
+     heuristics query their merging rounds and scan once, uncached. *)
   let machine = machine_k 3 in
   let p = List.hd (compile spilling_src) in
   let cac_ctx = Context.create ~incremental:true ~edge_cache:true machine in

@@ -258,11 +258,13 @@ let seeded_cache_race_is_caught () =
   Fun.protect
     ~finally:(fun () -> Build.seeded_cache_race := false)
     (fun () ->
-      (* irc: its Conservative builds are the cache's only multi-round
-         users, hence the only builds running cached rescans. Verification
-         stays off whatever RA_VERIFY says: the seeded invalidation can
-         make a later round replay a stale layer, which verify would
-         rightly reject before the detector reports. *)
+      (* Cached rescans run only in a pass's round-0 scan, and run in
+         parallel only when several blocks miss: irc's scratch first pass
+         through a width-4 context rescans every block of every routine.
+         The seeded invalidation lands on a sibling chunk's slot while
+         that chunk may be rescanning it. Replay ignores the flag, so the
+         graphs stay right; verification is kept off anyway so the
+         detector alone has to notice. *)
       let diags =
         allocate_all_checked ~verify:false ~jobs:4 ~edge_cache:true
           ~heuristic:Heuristic.Irc Ra_programs.Suite.quicksort
