@@ -44,7 +44,8 @@ val update :
 (** [refresh ~old ~cfg numbering ~changed ~sites] re-solves the
     analysis after a change of numbering over the *same* universe and
     block structure (coalescing renames web ids to their merged-class
-    representatives). Liveness is separable — an id's gen, kill and live
+    representatives; dead-code elimination masks dead instructions).
+    Liveness is separable — an id's gen, kill and live
     bits depend only on its own occurrences — so only the columns of the
     ids in [changed] are recomputed; every other id must occur at the
     same instructions, in the same roles, under [numbering] as under

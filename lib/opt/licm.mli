@@ -7,10 +7,21 @@
 
     Loads hoist when the loop contains no call and no store that may alias
     their base (the {!Alias} FORTRAN rule); integer division/remainder
-    never hoist (they can trap on a path that was never taken). This pass
-    is what recreates the paper's register pressure: the sixteen [x[j-k]]
-    values of DMXPY's unrolled loop become sixteen float live ranges
-    spanning the inner loop.
+    never hoist (they can trap on a path that was never taken). Any other
+    pure instruction hoists from every block of the loop, including one
+    under a condition, so the hoisted code runs once per loop entry even
+    when that block would not have run: the optimized code can execute
+    more instructions than the input. This pass is what recreates the
+    paper's register pressure: the sixteen [x[j-k]] values of DMXPY's
+    unrolled loop become sixteen float live ranges spanning the inner
+    loop.
+
+    Loops are tried innermost (smallest body) first, then by header, each
+    once. The CFG, loops, alias roots and def counts are computed once per
+    procedure, since hoisting changes none of them; only a hoist that
+    empties a block (statements after a [return]) starts the analysis
+    over. The result equals re-analysing after every hoisted loop
+    (DESIGN.md, "Optimizer: one analysis per procedure").
 
     Returns the number of instructions hoisted. *)
 

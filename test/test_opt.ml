@@ -294,21 +294,169 @@ let prop_optimize_preserves_semantics =
       let optimized = Codegen.compile_source src in
       Ra_opt.Opt.optimize_all optimized;
       let out_opt = run_main ~entry:"main" optimized [] in
-      out_ref.Ra_vm.Exec.result = out_opt.Ra_vm.Exec.result
+      (* [compare], not [=]: a NaN checksum must equal itself *)
+      compare out_ref.Ra_vm.Exec.result out_opt.Ra_vm.Exec.result = 0
       && out_ref.Ra_vm.Exec.output = out_opt.Ra_vm.Exec.output)
 
-let prop_optimize_never_slower =
-  QCheck.Test.make ~name:"optimizer does not increase dynamic instructions"
-    ~count:30
+(* Dynamic instruction counts stage by stage: local CSE rewrites one
+   instruction into one and DCE only deletes, so neither may add work.
+   LICM may: it hoists out of every block of a loop, also from under an
+   [if] that might not run, and the hoisted code then runs once per loop
+   entry even when that block would not have run. *)
+let dynamic_counts src =
+  let procs = Codegen.compile_source src in
+  let count () =
+    (run_main ~entry:"main" procs []).Ra_vm.Exec.instructions
+  in
+  let stage pass =
+    List.iter (fun p -> ignore (pass p)) procs;
+    count ()
+  in
+  let unoptimized = count () in
+  let cse = stage Ra_opt.Local_cse.run in
+  let licm = stage Ra_opt.Licm.run in
+  let cse2 = stage Ra_opt.Local_cse.run in
+  let dce = stage Ra_opt.Dce.run in
+  unoptimized, cse, licm, cse2, dce
+
+let prop_only_licm_adds_dynamic_instructions =
+  QCheck.Test.make
+    ~name:"CSE and DCE never increase dynamic instructions" ~count:30
     QCheck.(pair (int_bound 1000000) (int_range 10 40))
     (fun (seed, size) ->
-      let src = Progen.generate ~seed ~size in
-      let reference = Codegen.compile_source src in
-      let out_ref = run_main ~entry:"main" reference [] in
-      let optimized = Codegen.compile_source src in
-      Ra_opt.Opt.optimize_all optimized;
-      let out_opt = run_main ~entry:"main" optimized [] in
-      out_opt.Ra_vm.Exec.instructions <= out_ref.Ra_vm.Exec.instructions)
+      let unoptimized, cse, licm, cse2, dce =
+        dynamic_counts (Progen.generate ~seed ~size)
+      in
+      cse <= unoptimized && cse2 <= licm && dce <= cse2)
+
+let licm_speculative_increase () =
+  (* hoisting out of a conditional block makes this program run more
+     instructions than its unoptimized code; DCE recovers most of it *)
+  let unoptimized, cse, licm, cse2, dce =
+    dynamic_counts (Progen.generate ~seed:433105 ~size:38)
+  in
+  Alcotest.(check (list int)) "unoptimized, CSE, LICM, CSE, DCE"
+    [ 953; 953; 978; 978; 956 ]
+    [ unoptimized; cse; licm; cse2; dce ]
+
+(* ---- equivalence with the reference optimizer ---- *)
+
+(* [Opt.optimize] against {!Reference_opt.reference_optimize} on two
+   compilations of [src]: the same code (instructions and depths) and
+   the same stats, procedure by procedure. *)
+let matches_reference src =
+  let ours = Codegen.compile_source src in
+  let theirs = Codegen.compile_source src in
+  List.for_all2
+    (fun (p : Proc.t) (q : Proc.t) ->
+      let depths (p : Proc.t) =
+        Array.map (fun (nd : Proc.node) -> nd.Proc.depth) p.Proc.code
+      in
+      let stats = Ra_opt.Opt.optimize p in
+      let reference = Reference_opt.reference_optimize q in
+      stats = reference
+      && Proc.to_string p = Proc.to_string q
+      && depths p = depths q)
+    ours theirs
+
+let gen_unit =
+  QCheck.make
+    ~print:(fun (many, seed, size) ->
+      if many then
+        Printf.sprintf "Synth.many ~seed:%d ~size:%d ~routines:%d" seed
+          (1 + (size mod 6)) (1 + (size mod 10))
+      else Printf.sprintf "Synth.program ~seed:%d ~size:%d" seed size)
+    QCheck.Gen.(triple bool (int_bound 1000000) (int_range 5 60))
+
+let prop_optimize_matches_reference =
+  QCheck.Test.make ~name:"optimize matches the reference optimizer"
+    ~count:40 ~long_factor:20 gen_unit
+    (fun (many, seed, size) ->
+      matches_reference
+        (if many then
+           Ra_programs.Synth.many ~seed ~size:(1 + (size mod 6))
+             ~routines:(1 + (size mod 10))
+         else Progen.generate ~seed ~size))
+
+let suite_matches_reference () =
+  List.iter
+    (fun (prog : Ra_programs.Suite.program) ->
+      Alcotest.(check bool) prog.pname true (matches_reference prog.source))
+    Ra_programs.Suite.all
+
+(* Codegen lays every loop out contiguously, so hoisting only shifts
+   blocks of loops that contain the hoisted loop, and block-bound slips
+   there cannot show. Hand-built IR can interleave two loops: loop C's
+   body block C1 sits between loop A's header and A's hoisted code,
+   and C (three blocks) is tried after A. In [with_dead_block] A's
+   hoisted code comes from an unreachable block, which the hoist
+   empties. *)
+let licm_interleaved_loops_match_reference () =
+  let r = Reg.int in
+  let n = r 0 and one = r 1 and i = r 2 and x = r 3 and j = r 4 in
+  let u1 = r 5 and u2 = r 6 and u3 = r 7 in
+  let mk code =
+    let p = Proc.create ~name:"t" ~args:[] ~ret_cls:None in
+    p.Proc.code <-
+      Array.of_list (List.map (fun ins -> { Proc.ins; depth = 0 }) code);
+    p.Proc.next_int <- Proc.max_reg_id p Reg.Int_reg;
+    p
+  in
+  let hoisted_from_a = [ Instr.Li (u1, 1); Instr.Li (u2, 2); Instr.Li (u3, 3) ] in
+  let code ~with_dead_block =
+    [ Instr.Li (n, 10); Instr.Li (one, 1); Instr.Li (i, 0);
+      Instr.Label 1; (* A's header *)
+      Instr.Cbr (Instr.Lt, i, n, 3, 4);
+      Instr.Label 2; (* C1 *)
+      Instr.Li (x, 9);
+      Instr.Br 6 ]
+    @ (if with_dead_block then hoisted_from_a else [])
+    @ [ Instr.Label 3 ] (* A1 *)
+    @ (if with_dead_block then [] else hoisted_from_a)
+    @ [ Instr.Binop (Instr.Iadd, i, i, one);
+        Instr.Br 1;
+        Instr.Label 4; (* A's exit, C's preheader *)
+        Instr.Li (j, 0);
+        Instr.Label 5; (* C's header *)
+        Instr.Cbr (Instr.Lt, j, n, 2, 7);
+        Instr.Label 6; (* C2 *)
+        Instr.Binop (Instr.Iadd, j, j, x);
+        Instr.Br 5;
+        Instr.Label 7;
+        Instr.Ret None ]
+  in
+  List.iter
+    (fun with_dead_block ->
+      let p = mk (code ~with_dead_block) and q = mk (code ~with_dead_block) in
+      let hoisted = Ra_opt.Licm.run p in
+      let reference = Reference_opt.Licm.run q in
+      Alcotest.(check int) "hoisted" reference hoisted;
+      Alcotest.(check int) "four hoisted" 4 hoisted;
+      Alcotest.(check string) "same code" (Proc.to_string q) (Proc.to_string p))
+    [ false; true ]
+
+let licm_emptied_block_matches_reference () =
+  (* statements after a [return] form an unreachable block that falls
+     into the loop body, so it belongs to the natural loop; hoisting all
+     three of its instructions empties it, which changes the block
+     structure and makes LICM re-analyse the procedure *)
+  let src =
+    {| proc f(n: int, c: int) : int {
+         var i: int; var s: int; var x: int;
+         s = 0;
+         for i = 1 to n {
+           if (i > c) { s = s + c * 3; } else { return s; x = c * 7; }
+         }
+         return s;
+       } |}
+  in
+  Alcotest.(check bool) "same code as the reference" true
+    (matches_reference src);
+  let p = compile_one src in
+  let _ = Ra_opt.Opt.optimize p in
+  let out = run_main [ p ] [ Ra_vm.Value.Vint 5; Ra_vm.Value.Vint 2 ] in
+  Alcotest.(check bool) "still computes 2 * 0" true
+    (out.Ra_vm.Exec.result = Some (Ra_vm.Value.Vint 0))
 
 let suites =
   [ ( "opt.alias",
@@ -328,11 +476,20 @@ let suites =
           licm_blocked_by_aliasing_store;
         Alcotest.test_case "blocked by call" `Quick licm_blocked_by_call;
         Alcotest.test_case "never hoists division" `Quick
-          licm_never_hoists_division ] );
+          licm_never_hoists_division;
+        Alcotest.test_case "speculative increase (433105, 38)" `Quick
+          licm_speculative_increase ] );
     ( "opt.dce",
       [ Alcotest.test_case "removes dead code" `Quick dce_removes_dead_code;
         Alcotest.test_case "keeps stores and calls" `Quick
           dce_keeps_stores_and_calls ] );
     ( "opt.pipeline",
       [ qtest prop_optimize_preserves_semantics;
-        qtest prop_optimize_never_slower ] ) ]
+        qtest prop_only_licm_adds_dynamic_instructions ] );
+    ( "opt.reference",
+      [ Alcotest.test_case "suite procedures" `Quick suite_matches_reference;
+        Alcotest.test_case "emptied block" `Quick
+          licm_emptied_block_matches_reference;
+        Alcotest.test_case "interleaved loops" `Quick
+          licm_interleaved_loops_match_reference;
+        qtest prop_optimize_matches_reference ] ) ]
