@@ -167,8 +167,9 @@ let update ~old ~code ~cfg numbering ~remap ~dirty_blocks =
    occurrences are now the whole class's) and the absorbed one's (it
    occurs nowhere any more) — and every other column is [old]'s.
 
-   So each changed column is rebuilt on its own: its bit is cleared
-   everywhere, gen/kill are set from its sites (a block's gen bit when
+   So the changed columns' bits are cleared everywhere, word-parallel
+   in one pass over the blocks, and each column is rebuilt on its own:
+   gen/kill are set from its sites (a block's gen bit when
    the id's first occurrence there is a use — an instruction's uses
    count before its defs — its kill bit when it has a def), and its live
    bits are regrown by propagating backward from the gen blocks, stopping
@@ -184,34 +185,45 @@ let refresh ~old ~cfg numbering ~changed ~sites =
     invalid_arg "Liveness.refresh: universe changed";
   if Ra_ir.Cfg.n_blocks old.cfg <> n then
     invalid_arg "Liveness.refresh: block structure changed";
-  let gen = Array.copy old.gen and kill = Array.copy old.kill in
+  let mask = Bitset.create universe in
+  List.iter
+    (fun c ->
+      if c < 0 || c >= universe then invalid_arg "Liveness.refresh: id";
+      Bitset.add mask c)
+    changed;
   let gen_owned = Array.make n false and kill_owned = Array.make n false in
+  let cleared sets owned =
+    Array.mapi
+      (fun b s ->
+        if Bitset.intersects s mask then begin
+          let s = Bitset.copy s in
+          ignore (Bitset.diff_into ~into:s mask);
+          owned.(b) <- true;
+          s
+        end
+        else s)
+      sets
+  in
+  let gen = cleared old.gen gen_owned and kill = cleared old.kill kill_owned in
   let own sets owned b =
     if not owned.(b) then begin
       sets.(b) <- Bitset.copy sets.(b);
       owned.(b) <- true
     end
   in
-  let live_in = Array.map Bitset.copy old.result.Dataflow.live_in in
-  let live_out = Array.map Bitset.copy old.result.Dataflow.live_out in
+  let live_copy s =
+    let s = Bitset.copy s in
+    ignore (Bitset.diff_into ~into:s mask);
+    s
+  in
+  let live_in = Array.map live_copy old.result.Dataflow.live_in in
+  let live_out = Array.map live_copy old.result.Dataflow.live_out in
   (* per-block first use / first def of the column being rebuilt;
      [max_int] means none, reset through [seen] after each column *)
   let first_use = Array.make n max_int and first_def = Array.make n max_int in
   let seen = ref [] in
   let work = Stack.create () in
   let rebuild_column c =
-    for b = 0 to n - 1 do
-      if Bitset.mem gen.(b) c then begin
-        own gen gen_owned b;
-        Bitset.remove gen.(b) c
-      end;
-      if Bitset.mem kill.(b) c then begin
-        own kill kill_owned b;
-        Bitset.remove kill.(b) c
-      end;
-      Bitset.remove live_in.(b) c;
-      Bitset.remove live_out.(b) c
-    done;
     sites c (fun ~def i ->
       let b = cfg.Ra_ir.Cfg.block_of_instr.(i) in
       if first_use.(b) = max_int && first_def.(b) = max_int then
@@ -249,11 +261,7 @@ let refresh ~old ~cfg numbering ~changed ~sites =
         cfg.Ra_ir.Cfg.blocks.(b).Ra_ir.Cfg.preds
     done
   in
-  List.iter
-    (fun c ->
-      if c < 0 || c >= universe then invalid_arg "Liveness.refresh: id";
-      rebuild_column c)
-    changed;
+  List.iter rebuild_column changed;
   let result = { Dataflow.live_in; live_out } in
   let scratch = Bitset.create universe in
   let uid = stamp ~result ~scratch in
