@@ -64,11 +64,14 @@ exception Allocation_failure of string
     ablation); [spill_base] is the per-loop-depth spill-cost weight
     (default 10, Chaitin's customary constant — another ablation axis).
     For {!Heuristic.Irc} with coalescing on, the conservative guarantee
-    holds unconditionally: an allocation that both coalesced and spilled
-    is re-run with coalescing off and the coalesced outcome is kept only
-    if it spilled no more webs, so [~coalesce:true] never spills more
-    than [~coalesce:false] on the same input (ties keep the coalesced
-    outcome; spill-free allocations never pay for the rerun).
+    holds unconditionally: an allocation that spilled — whether or not
+    anything merged — is re-run with coalescing off and the coalesced
+    outcome is kept only if it spilled no more webs, so
+    [~coalesce:true] never spills more than [~coalesce:false] on the
+    same input (ties keep the coalesced outcome; spill-free allocations
+    never pay for the rerun). The rerun follows the coalesced
+    allocation and stops as soon as its spill total reaches the
+    coalesced one, since it can no longer win ({!Pipeline.run}).
     Raises {!Allocation_failure} if the Build–Color cycle fails to
     converge within [max_passes] (default 32).
 

@@ -90,6 +90,10 @@ let create ?(incremental = incremental_default) ?(verify = verify_default)
     stats = { incremental_builds = 0; scratch_builds = 0; verified_builds = 0 };
     prev = None }
 
+let sibling t =
+  create ~incremental:t.incremental ~verify:t.verify
+    ~edge_cache:t.edge_cache_on ~tele:t.tele ~jobs:1 t.machine
+
 let machine t = t.machine
 let telemetry t = t.tele
 let incremental_enabled t = t.incremental

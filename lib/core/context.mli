@@ -80,6 +80,11 @@ val create :
   Machine.t ->
   t
 
+(** [sibling t] is a fresh single-threaded context with [t]'s machine,
+    incrementality, verification, edge-cache setting and sink: for an
+    allocation that runs beside one already using [t]. *)
+val sibling : t -> t
+
 val machine : t -> Machine.t
 
 (** The sink this context's builds report into ({!create}'s [tele]). *)

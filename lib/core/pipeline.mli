@@ -86,13 +86,16 @@ val spill_groups : Build.t -> Ra_ir.Reg.cls -> int list -> int list list
     context's telemetry sink. Raises {!Allocation_failure} as
     documented on {!Allocator.allocate}.
 
-    For {!Heuristic.Irc} with [config.coalesce] on, an allocation that
-    spilled is re-run with coalescing off (one extra sequential
-    allocation, counted as [irc.fallback_runs] on the telemetry sink)
-    and the no-coalesce outcome is kept when it spilled strictly fewer
-    webs ([irc.fallback_kept]) — conservative coalescing never costs
-    spills, whole-allocation, not merely per pass. The fallback is the
-    chain's last stage, so {!submit_dag} applies it too. *)
+    For {!Heuristic.Irc} with [config.coalesce] on, an allocation whose
+    pass 1 spilled is re-run with coalescing off (counted as
+    [irc.fallback_runs] on the telemetry sink), and the no-coalesce
+    outcome is kept when it spilled strictly fewer webs
+    ([irc.fallback_kept]) — conservative coalescing never costs spills,
+    whole-allocation, not merely per pass. Here the rerun runs after the
+    coalesced chain, on the same context, and stops at the first
+    election where its running spill total reaches the coalesced
+    total: from there it cannot win. Its abandoned pass is not counted
+    in [alloc.passes]. *)
 val run :
   config -> context:Context.t -> Machine.t -> Heuristic.t -> Ra_ir.Proc.t ->
   outcome
@@ -108,6 +111,14 @@ val run :
     forest. Returns one result slot per pipeline, filled by its last
     stage — read them only after the scheduler scope has drained.
     Outcomes are bit-identical to {!run} on the same inputs.
+
+    Irc's no-coalesce fallback (see {!run}) is a task of its own,
+    submitted as soon as pass 1 of the coalesced chain spills, over a
+    {!Context.sibling} of the pipeline's context, so it runs beside the
+    chain rather than after it. Whichever of the two finishes second
+    applies {!run}'s rule and fills the slot. The rerun's cutoff takes
+    effect once the chain has finished, so how many of its passes run
+    depends on timing; the outcome does not.
 
     [tele] is the shared build task's sink; each pipeline reports into
     its context's sink as usual. [bpool] (typically

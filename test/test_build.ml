@@ -173,9 +173,10 @@ let node_web_round_trip () =
 
 (* ---- parallel build == sequential build, structurally ---- *)
 
-(* Shared across qcheck trials: domains are never reclaimed before
-   process exit, so pools must not be created per trial. *)
-let pools = lazy (List.map (fun jobs -> Ra_support.Pool.create ~jobs) [ 2; 4; 8 ])
+(* Shared across qcheck trials, so pools are not created per trial;
+   shut down after the last test of [suites]. *)
+let pools =
+  List.map (fun jobs -> lazy (Ra_support.Pool.create ~jobs)) [ 2; 4; 8 ]
 
 let same_graph (a : Igraph.t) (b : Igraph.t) =
   Igraph.n_nodes a = Igraph.n_nodes b
@@ -240,7 +241,7 @@ let prop_parallel_build_identical =
                               ~k:(Machine.regs Machine.rt_pc Reg.Flt_reg))
                        [ Heuristic.Chaitin; Heuristic.Briggs;
                          Heuristic.Matula ])
-                (Lazy.force pools))
+                (List.map Lazy.force pools))
             [ true; false ])
         procs)
 
@@ -268,7 +269,7 @@ let chunk_starts_clamped_to_blocks () =
   let seq = Build.build Machine.rt_pc p cfg ~webs () in
   let par =
     Build.build Machine.rt_pc p cfg ~webs
-      ~pool:(List.nth (Lazy.force pools) 2)
+      ~pool:(Lazy.force (List.nth pools 2))
       ~par:(Build.par_scratch ())
       ~touched:(Ra_support.Bitset.create 0)
       ~verify:true ()
@@ -448,7 +449,7 @@ let query_matches_graph (procs : Proc.t list) =
       let seq = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
       let par =
         Build.build Machine.rt_pc p cfg ~webs
-          ~pool:(List.nth (Lazy.force pools) 1)
+          ~pool:(Lazy.force (List.nth pools 1))
           ~par:(Build.par_scratch ())
           ~touched:(Ra_support.Bitset.create 0)
           ~verify:true ()
@@ -782,6 +783,8 @@ let flipped_round_edge_trips_verify () =
       | exception Build.Divergence _ -> ())
 
 let suites =
+  Test_pool.shutdown_after pools
+  @@
   [ ( "build.interference",
       [ Alcotest.test_case "overlapping vars interfere" `Quick
           overlapping_vars_interfere;

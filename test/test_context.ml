@@ -185,17 +185,19 @@ let prop_incremental_equals_scratch =
             [ true; false ])
         heuristics)
 
+(* Shared across qcheck trials — per-trial pools would exhaust the
+   domain limit — and shut down after the last test of [suites]. *)
+let pools =
+  List.map (fun jobs -> lazy (Ra_support.Pool.create ~jobs)) [ 2; 4; 8 ]
+
+let pool4 = List.nth pools 1
+
 let prop_parallel_equals_sequential =
   (* Pool-backed contexts must be a pure performance knob: allocation
      through a context whose graph builds run on a domain pool (and
      whose spill passes therefore replay staged parallel edges) is
      observably identical to a jobs=1 context, for every heuristic and
      pool width, with and without coalescing. *)
-  let pools =
-    (* shared across trials — domains are only reclaimed at process
-       exit, so per-trial pools would exhaust the domain limit *)
-    lazy (List.map (fun jobs -> Ra_support.Pool.create ~jobs) [ 2; 4; 8 ])
-  in
   QCheck.Test.make
     ~name:
       "pool-backed context reproduces sequential allocation exactly \
@@ -229,7 +231,7 @@ let prop_parallel_equals_sequential =
                       alloc seq_ctx = alloc par_ctx)
                     procs)
                 [ true; false ])
-            (Lazy.force pools))
+            (List.map Lazy.force pools))
         heuristics)
 
 let edge_cache_reused_across_passes () =
@@ -277,7 +279,6 @@ let prop_edge_cache_equals_scratch =
      cross-checks every cached round in-flight against a reference
      rescan, so a silent cache corruption fails the trial even where the
      end state happens to agree. *)
-  let pool = lazy (Ra_support.Pool.create ~jobs:4) in
   QCheck.Test.make
     ~name:
       "edge-cache-backed context reproduces from-scratch allocation \
@@ -301,7 +302,7 @@ let prop_edge_cache_equals_scratch =
           in
           let par_ctx =
             Context.create ~incremental:true ~edge_cache:true ~verify:true
-              ~pool:(Lazy.force pool) machine
+              ~pool:(Lazy.force pool4) machine
           in
           List.for_all
             (fun coalesce ->
@@ -322,6 +323,8 @@ let prop_edge_cache_equals_scratch =
         heuristics)
 
 let suites =
+  Test_pool.shutdown_after pools
+  @@
   [ ( "core.context",
       [ Alcotest.test_case "incremental equals scratch" `Quick
           incremental_equals_scratch;

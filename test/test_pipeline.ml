@@ -203,12 +203,15 @@ let fingerprint (r : Allocator.result) =
     r.Allocator.moves_removed,
     Proc.to_string r.Allocator.proc )
 
+(* Shared across qcheck trials; shut down after the last test of
+   [suites]. *)
+let pool = lazy (Ra_support.Pool.create ~jobs:4)
+
 let prop_pipeline_mode_invariant =
   (* The refactored pipeline over every execution mode — sequential,
      pooled builds, edge cache off, incrementality off — produces one
      observable allocation per (program, heuristic, coalesce): same
      pass counters, totals, and rewritten code, or the same failure. *)
-  let pool = lazy (Ra_support.Pool.create ~jobs:4) in
   QCheck.Test.make
     ~name:
       "pipeline is mode-invariant (jobs 1/4 x edge cache x incremental, \
@@ -286,6 +289,90 @@ let prop_irc_conservative_never_spills_more =
           | (Some _ | None), _ -> true)
         procs)
 
+(* ---- irc's no-coalesce fallback: the join and the cutoff ---- *)
+
+(* A routine whose no-coalesce rerun spills fewer webs (10) than the
+   coalesced chain (11), so the join keeps the rerun. Whichever side
+   arrives second decides, so every driver and width gives the same
+   allocation: exactly the [~coalesce:false] one. *)
+let kept_rerun_same_on_every_driver () =
+  let machine = machine_k ~flt:4 6 in
+  let main =
+    List.find
+      (fun (p : Proc.t) -> p.Proc.name = "main")
+      (compile (Ra_programs.Synth.program ~seed:131 ~size:6))
+  in
+  let allocate ~coalesce tele =
+    Allocator.allocate ~coalesce
+      ~context:(Context.create ~jobs:1 ~tele machine)
+      machine Heuristic.Irc main
+  in
+  let check_counters driver tele =
+    Alcotest.(check (pair int int))
+      (driver ^ ": one fallback run, kept")
+      (1, 1)
+      ( Ra_support.Telemetry.counter_total tele "irc.fallback_runs",
+        Ra_support.Telemetry.counter_total tele "irc.fallback_kept" )
+  in
+  let tele = Ra_support.Telemetry.create () in
+  let inline = fingerprint (allocate ~coalesce:true tele) in
+  check_counters "inline" tele;
+  Alcotest.(check bool) "the kept rerun is the no-coalesce allocation" true
+    (inline
+     = fingerprint (allocate ~coalesce:false (Ra_support.Telemetry.create ())));
+  List.iter
+    (fun jobs ->
+      let sched = Ra_support.Scheduler.create ~jobs in
+      Fun.protect
+        ~finally:(fun () -> Ra_support.Scheduler.shutdown sched)
+        (fun () ->
+          let tele = Ra_support.Telemetry.create () in
+          match
+            Batch.allocate_matrix ~scheduler:sched ~tele machine
+              [ Heuristic.Irc ] [ main ]
+          with
+          | [ [ r ] ] ->
+            let driver = Printf.sprintf "DAG at width %d" jobs in
+            Alcotest.(check bool) (driver ^ " equals inline") true
+              (fingerprint r = inline);
+            check_counters driver tele
+          | _ -> Alcotest.fail "one heuristic x one routine"))
+    [ 1; 2; 4 ]
+
+(* SVD's svd spills under irc, and its rerun reaches the coalesced total
+   in its own pass 1, so the cutoff abandons it there: the passes the
+   sink counts fall short of a full coalesced allocation plus a full
+   no-coalesce one. Counted through the inline driver only — in the DAG
+   where the cutoff lands depends on when the coalesced chain finishes. *)
+let abandoned_rerun_stops_early () =
+  let machine = Machine.rt_pc in
+  let svd =
+    List.find
+      (fun (p : Proc.t) -> p.Proc.name = "svd")
+      (Ra_programs.Suite.compile (Ra_programs.Suite.find "SVD"))
+  in
+  let allocate ~coalesce tele =
+    Allocator.allocate ~coalesce
+      ~context:(Context.create ~jobs:1 ~tele machine)
+      machine Heuristic.Irc svd
+  in
+  let tele = Ra_support.Telemetry.create () in
+  let coalesced = allocate ~coalesce:true tele in
+  let off = allocate ~coalesce:false (Ra_support.Telemetry.create ()) in
+  let counter = Ra_support.Telemetry.counter_total tele in
+  Alcotest.(check (pair int int)) "one fallback run, not kept" (1, 0)
+    (counter "irc.fallback_runs", counter "irc.fallback_kept");
+  Alcotest.(check bool) "the coalesced outcome spills no more" true
+    (coalesced.Allocator.total_spilled <= off.Allocator.total_spilled);
+  let full =
+    List.length coalesced.Allocator.passes + List.length off.Allocator.passes
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "passes counted (%d) < coalesced + no-coalesce (%d)"
+       (counter "alloc.passes") full)
+    true
+    (counter "alloc.passes" < full)
+
 (* The one (routine, heuristic) cell of the benchmark suite that cannot
    allocate: cost-blind Matula on EULER's euler_main. Smallest-last
    never consults spill costs, so from pass 2 on it keeps electing the
@@ -335,6 +422,8 @@ let matula_euler_main_expected_failure () =
       (contains_sub m "matula" && contains_sub m "unspillable")
 
 let suites =
+  Test_pool.shutdown_after [ pool ]
+  @@
   [ ( "core.pipeline",
       [ Alcotest.test_case "golden: suite matches pre-refactor seed" `Slow
           golden;
@@ -346,5 +435,9 @@ let suites =
           `Quick spill_groups_sorted;
         Alcotest.test_case "allocator facade equals pipeline" `Quick
           facade_equals_pipeline;
+        Alcotest.test_case "kept fallback rerun: same on every driver"
+          `Quick kept_rerun_same_on_every_driver;
+        Alcotest.test_case "abandoned fallback rerun stops early" `Quick
+          abandoned_rerun_stops_early;
         qtest prop_pipeline_mode_invariant;
         qtest prop_irc_conservative_never_spills_more ] ) ]

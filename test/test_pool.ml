@@ -10,6 +10,25 @@ let with_pool ~jobs f =
   let pool = Pool.create ~jobs in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
+(* [suites] with each of [pools] that some test created shut down once
+   its last test has run. Idle domains are not free: every domain joins
+   each stop-the-world minor collection, so pools left alive slow down
+   every later suite of the run. *)
+let shutdown_after (pools : Pool.t Lazy.t list) suites =
+  let release () =
+    List.iter (fun p -> if Lazy.is_val p then Pool.shutdown (Lazy.force p)) pools
+  in
+  let protect (name, speed, f) =
+    name, speed, fun x -> Fun.protect ~finally:release (fun () -> f x)
+  in
+  match List.rev suites with
+  | (group, cases) :: groups ->
+    (match List.rev cases with
+     | last :: earlier ->
+       List.rev ((group, List.rev (protect last :: earlier)) :: groups)
+     | [] -> suites)
+  | [] -> suites
+
 let covers_every_index_once () =
   List.iter
     (fun jobs ->

@@ -326,24 +326,28 @@ let suite_sweep_widths () =
     programs
 
 (* The comparison matrix's task DAG under the detector: every stage
-   task of every pipeline, the shared first-pass build's fan-out and the
-   irc pipelines' private builds, all checked against their declared
-   footprints on a width-4 scheduler. *)
+   task of every pipeline, the shared first-pass build's fan-out, the
+   irc pipelines' private builds and irc's no-coalesce fallback tasks,
+   all checked against their declared footprints on a width-4
+   scheduler. *)
 let procedure_dispatch_clean () =
   let sched = Scheduler.create ~jobs:4 in
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown sched)
     (fun () ->
       let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
+      let tele = Telemetry.create () in
       let _, diags =
         Race.with_check (fun () ->
           ignore
-            (Batch.allocate_matrix ~scheduler:sched machine
+            (Batch.allocate_matrix ~scheduler:sched ~tele machine
                [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula;
                  Heuristic.Irc ]
                procs))
       in
-      check_no_errors "matrix DAG race-clean" diags)
+      check_no_errors "matrix DAG race-clean" diags;
+      Alcotest.(check bool) "the detector saw a fallback task" true
+        (Telemetry.counter_total tele "irc.fallback_runs" >= 1))
 
 let prop_random_programs_race_clean =
   QCheck.Test.make
