@@ -1,32 +1,35 @@
 (* `bench/main.exe [picks] --json` — machine-readable allocation report.
 
-   Every selected routine is allocated in four modes per heuristic: with
-   an incremental context (structures patched across spill passes, edge
-   cache off), with incrementality disabled (from-scratch builds every
-   pass), with an incremental context whose graph build runs on a domain
-   pool, and with the per-block edge cache on (dirty-block rescans of
-   each spill pass's first-round scan). Each mode runs a few times and
-   the per-pass phase times keep the element-wise minimum. The runs must agree on everything
-   except CPU time — pass-by-pass counters, spill totals, and the final
-   allocated code — and the report records all four time series so the
-   pass-2+ build-time saving, the parallel build time, and the cached
-   rescan saving are visible in the committed artifact. Each pass also
+   Every selected routine is allocated in three modes per heuristic:
+   with an incremental context (structures patched across spill passes,
+   edge cache off), with incrementality disabled (from-scratch builds
+   every pass), and with the per-block edge cache on (dirty-block
+   rescans of each spill pass's first-round scan). Each mode runs a few
+   times and the per-pass phase times keep the element-wise minimum.
+   The runs must agree on everything except CPU time — pass-by-pass
+   counters, spill totals, and the final allocated code — and the
+   report records all three time series so the pass-2+ build-time
+   saving and the cached rescan saving are visible in the committed
+   artifact. Each pass also
    records the cached run's coalescing-round count, edge-cache hit rate
    and fraction of blocks rescanned. It also times the FULL benchmark
    suite (every routine, every heuristic, regardless of picks) end to
    end two ways — sequentially on one warm context, and as the
    footprint-ordered task DAG on the work-stealing scheduler — and
    records the DAG run's scheduler counters (tasks, steals, derived
-   edges, queue high-water mark, per-domain utilization). The DAG wall
+   edges, queue high-water mark, per-domain utilization), its width and
+   the host's core count; a width above the core count is marked
+   [oversubscribed], since its walls measure contention rather than
+   scheduling. The DAG wall
    must beat the sequential wall — a slower scheduler is a regression
    and the process exits non-zero. It also times the suite with
    telemetry disabled versus buffering every span, asserting the
    disabled path stays free. Aggregate cache behaviour comes straight
    off the pipeline's telemetry counters (the cached context reports
    into a sink). Any disagreement is a divergence: it is reported in the
-   JSON and the process exits non-zero (CI runs this as a smoke check
-   with RA_JOBS=4, so zero divergences is asserted for the parallel,
-   cached and DAG paths on every push). *)
+   JSON and the process exits non-zero (CI runs this as a smoke check,
+   so zero divergences is asserted for the incremental, cached and DAG
+   paths on every push). *)
 
 open Ra_core
 
@@ -147,31 +150,19 @@ let wall f =
 
 let run ~picks () =
   let machine = Machine.rt_pc in
-  (* at least 2 workers so the parallel path is exercised — and asserted
-     against the sequential builds — even on a single-core runner. The
-     default is pinned before anything touches the shared pool or the
-     global scheduler, fixing both at this width. The suite-wall
-     scheduler below is sized to [hw_jobs], the machine's real width:
-     oversubscribing domains onto fewer cores measures contention, not
-     scheduling. *)
-  let hw_jobs = Ra_support.Pool.default_jobs () in
-  let jobs = max 2 hw_jobs in
-  Ra_support.Pool.set_default_jobs jobs;
-  let pool = Ra_support.Pool.create ~jobs in
+  (* the DAG's width: RA_JOBS, else the core count *)
+  let jobs = Ra_support.Pool.default_jobs () in
+  let cores = Domain.recommended_domain_count () in
   (* the cached mode's context reports into a real sink: the aggregate
      edge-cache section below reads the pipeline's own counters off it
      instead of re-accumulating pass records by hand *)
   let cac_tele = Ra_support.Telemetry.create () in
   let inc_ctx =
-    Context.create ~incremental:true ~edge_cache:false ~jobs:1 machine
+    Context.create ~incremental:true ~edge_cache:false machine
   in
-  let scr_ctx =
-    Context.create ~incremental:false ~edge_cache:false ~jobs:1 machine
-  in
-  let par_ctx = Context.create ~incremental:true ~pool machine in
+  let scr_ctx = Context.create ~incremental:false ~edge_cache:false machine in
   let cac_ctx =
-    Context.create ~incremental:true ~edge_cache:true ~tele:cac_tele ~jobs:1
-      machine
+    Context.create ~incremental:true ~edge_cache:true ~tele:cac_tele machine
   in
   let divergences = ref [] in
   let entries = ref 0 in
@@ -200,7 +191,6 @@ let run ~picks () =
               | exception Pipeline.Allocation_failure _ -> ()
               | inc ->
               let scr = allocate_best ~context:scr_ctx machine h proc in
-              let par = allocate_best ~context:par_ctx machine h proc in
               let cac = allocate_best ~context:cac_ctx machine h proc in
               let diverge tag =
                 divergences :=
@@ -210,10 +200,8 @@ let run ~picks () =
                   :: !divergences
               in
               let inc_ok = fingerprint inc = fingerprint scr in
-              let par_ok = fingerprint par = fingerprint scr in
               let cac_ok = fingerprint cac = fingerprint scr in
               if not inc_ok then diverge "incremental";
-              if not par_ok then diverge "parallel";
               if not cac_ok then diverge "cached";
               if not !first_entry then Buffer.add_string buf ",";
               first_entry := false;
@@ -227,7 +215,7 @@ let run ~picks () =
                     \"moves_coalesced\": %d,\n     \
                     \"per_pass\": ["
                    program.Ra_programs.Suite.pname proc.name
-                   (Heuristic.name h) (inc_ok && par_ok && cac_ok)
+                   (Heuristic.name h) (inc_ok && cac_ok)
                    inc.Allocator.live_ranges
                    (List.length inc.Allocator.passes)
                    inc.Allocator.total_spilled
@@ -238,13 +226,13 @@ let run ~picks () =
                       0 inc.Allocator.passes));
               (* zip without raising when a divergence changed the pass
                  count; the shortest series bounds the table *)
-              let rec zip4 a b c d =
-                match a, b, c, d with
-                | x :: a, y :: b, z :: c, w :: d -> (x, y, z, w) :: zip4 a b c d
-                | _, _, _, _ -> []
+              let rec zip3 a b c =
+                match a, b, c with
+                | x :: a, y :: b, z :: c -> (x, y, z) :: zip3 a b c
+                | _, _, _ -> []
               in
               List.iteri
-                (fun i (pi, ps, pp, pc) ->
+                (fun i (pi, ps, pc) ->
                   if i > 0 then Buffer.add_string buf ",";
                   let idx, webs, coalesced, _, _, _, _, spilled, spill_cost =
                     (strip pi).counters
@@ -271,12 +259,10 @@ let run ~picks () =
                   Buffer.add_string buf ",\n        ";
                   buf_times buf "scratch" (strip ps);
                   Buffer.add_string buf ",\n        ";
-                  buf_times buf "parallel" (strip pp);
-                  Buffer.add_string buf ",\n        ";
                   buf_times buf "cached" (strip pc);
                   Buffer.add_string buf "}")
-                (zip4 inc.Allocator.passes scr.Allocator.passes
-                   par.Allocator.passes cac.Allocator.passes);
+                (zip3 inc.Allocator.passes scr.Allocator.passes
+                   cac.Allocator.passes);
               Buffer.add_string buf "]}")
             heuristics)
         procs)
@@ -315,7 +301,7 @@ let run ~picks () =
   let all_procs =
     List.concat_map Ra_programs.Suite.compile Ra_programs.Suite.all
   in
-  let probe_ctx = Context.create ~jobs:1 machine in
+  let probe_ctx = Context.create machine in
   let probe_failures =
     List.concat_map
       (fun (p : Ra_ir.Proc.t) ->
@@ -346,7 +332,7 @@ let run ~picks () =
     !best
   in
   let suite_seq () =
-    let ctx = Context.create ~jobs:1 machine in
+    let ctx = Context.create machine in
     List.map
       (fun h -> Batch.allocate_all ~context:ctx machine h suite_procs)
       heuristics
@@ -359,7 +345,7 @@ let run ~picks () =
     if s < !seq_s then seq_s := s
   done;
   let seq_s = !seq_s in
-  let sched = Ra_support.Scheduler.create ~jobs:hw_jobs in
+  let sched = Ra_support.Scheduler.create ~jobs in
   let dag_s = ref infinity in
   let dag_stats = ref (Ra_support.Scheduler.stats sched) in
   for r = 1 to wall_reps do
@@ -387,7 +373,7 @@ let run ~picks () =
   let per_heuristic =
     List.map
       (fun h ->
-        let ctx = Context.create ~jobs:1 machine in
+        let ctx = Context.create machine in
         let results = ref [] in
         let w = ref infinity in
         for r = 1 to wall_reps do
@@ -433,7 +419,7 @@ let run ~picks () =
      the fourth column. *)
   let irc_on = results_of Heuristic.Irc in
   let irc_off =
-    let ctx = Context.create ~jobs:1 machine in
+    let ctx = Context.create machine in
     List.map
       (fun p ->
         Allocator.allocate ~coalesce:false ~context:ctx machine Heuristic.Irc
@@ -477,14 +463,13 @@ let run ~picks () =
     let (), s =
       wall (fun () ->
         alloc_all
-          (Context.create ~tele:Ra_support.Telemetry.null ~jobs:1 machine))
+          (Context.create ~tele:Ra_support.Telemetry.null machine))
     in
     if s < !tele_off_s then tele_off_s := s;
     let (), s =
       wall (fun () ->
         alloc_all
-          (Context.create ~tele:(Ra_support.Telemetry.create ()) ~jobs:1
-             machine))
+          (Context.create ~tele:(Ra_support.Telemetry.create ()) machine))
     in
     if s < !tele_on_s then tele_on_s := s
   done;
@@ -495,7 +480,7 @@ let run ~picks () =
      checked rep runs as the task DAG so the vector-clock analyzer
      validates the footprint-derived schedule itself — every shared
      access must be ordered by a derived edge. *)
-  let race_off_s = min_wall (fun () -> alloc_all (Context.create ~jobs:1 machine)) in
+  let race_off_s = min_wall (fun () -> alloc_all (Context.create machine)) in
   let race_errors = ref 0 in
   let race_on_s =
     (* the matrix aborts on an unallocatable cell, so the checked rep
@@ -541,7 +526,7 @@ let run ~picks () =
      read the cache's own counters — hits come from loop-depth lints
      reusing the dominator entry, repeat heuristics on a routine, and
      re-keyed entries surviving spill-patch passes. *)
-  let aca_ctx = Context.create ~incremental:true ~verify:true ~jobs:1 machine in
+  let aca_ctx = Context.create ~incremental:true ~verify:true machine in
   List.iter
     (fun p ->
       List.iter
@@ -563,10 +548,10 @@ let run ~picks () =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "\n  ],\n  \"jobs\": %d,\n  \"suite\": {\"routines\": %d, \
+       "\n  ],\n  \"jobs\": %d, \"host_cores\": %d, \
+        \"oversubscribed\": %b,\n  \"suite\": {\"routines\": %d, \
         \"excluded\": [%s], \"sequential_wall_s\": %.6f, \
-        \"dag_wall_s\": %.6f, \
-        \"parallel_wall_s\": %.6f,\n    \
+        \"dag_wall_s\": %.6f,\n    \
         \"sched\": {\"jobs\": %d, \"tasks\": %d, \"steals\": %d, \
         \"edges\": %d, \"max_queue_depth\": %d, \
         \"utilization\": [%s]}},\n  \
@@ -586,7 +571,7 @@ let run ~picks () =
         \"analysis_cache\": {\"hits\": %d, \"misses\": %d, \
         \"hit_rate\": %s},\n  \
         \"divergences\": [%s]\n}\n"
-       jobs
+       jobs cores (jobs > cores)
        (List.length suite_procs)
        (String.concat ", "
           (List.map
@@ -596,7 +581,7 @@ let run ~picks () =
                   \"reason\": \"%s\"}"
                  routine heuristic (json_escape reason))
              probe_failures))
-       seq_s dag_s dag_s hw_jobs dag_stats.Ra_support.Scheduler.tasks
+       seq_s dag_s jobs dag_stats.Ra_support.Scheduler.tasks
        dag_stats.Ra_support.Scheduler.steals
        dag_stats.Ra_support.Scheduler.edges
        dag_stats.Ra_support.Scheduler.max_queue_depth utilization

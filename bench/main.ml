@@ -11,12 +11,13 @@
    With --json the harness instead allocates the selected routine set
    (fig7's four multi-pass routines for `fig7 --json`, the whole suite
    otherwise) three ways — incremental context, incrementality disabled,
-   and incremental with the pool-parallel graph build — writes the
-   per-pass phase times of all modes plus a sequential-vs-dispatched
-   suite wall-clock to BENCH_alloc.json, and exits non-zero if any mode
-   disagrees with another on anything but CPU time.
+   and incremental with the per-block edge cache — writes the per-pass
+   phase times of all modes plus a sequential-vs-DAG suite wall-clock to
+   BENCH_alloc.json, and exits non-zero if any mode disagrees with
+   another on anything but CPU time.
 
-   --jobs=N (any mode) sets the worker-domain count, like RA_JOBS. *)
+   --jobs=N (any mode) sets the DAG scheduler's worker-domain count,
+   like RA_JOBS. *)
 
 let available =
   [ "fig3", (fun () ->

@@ -68,10 +68,10 @@ let verify_arg =
 
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for parallel graph construction and, in \
-               compare/suite, procedure-level dispatch (default: RA_JOBS \
-               or the core count; 1 disables). Results are bit-identical \
-               at any setting.")
+         ~doc:"Worker domains of the task-DAG scheduler that allocates \
+               procedures and heuristics side by side (default: RA_JOBS \
+               or the core count; 1 runs everything on the calling \
+               domain). Results are bit-identical at any setting.")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-edge-cache" ]
@@ -84,9 +84,8 @@ let race_arg =
   Arg.(value & flag & info [ "race-check" ]
          ~doc:"Record every shared-structure access during allocation and \
                verify race-freedom (vector-clock happens-before over the \
-               pool's synchronization events) plus conformance to each \
-               task's declared footprint; exit non-zero on a finding \
-               (same as setting RA_RACE_CHECK=1)")
+               task DAG's dependency and synchronization events); exit \
+               non-zero on a finding (same as setting RA_RACE_CHECK=1)")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH"
@@ -115,8 +114,8 @@ let race_scope race f =
   end
   else f ()
 
-(* --jobs overrides RA_JOBS for everything downstream (the shared pool
-   and scheduler are created lazily, after this runs). *)
+(* --jobs overrides RA_JOBS for everything downstream (the shared
+   scheduler is created lazily, after this runs). *)
 let apply_jobs jobs =
   Option.iter Ra_support.Pool.set_default_jobs jobs
 
@@ -375,7 +374,7 @@ let compare_cmd =
        abort the shared matrix, so failing cells are recorded with the
        allocator's own diagnostic and their routines reported from the
        probe results instead. *)
-    let probe_ctx = Ra_core.Context.create ~jobs:1 machine in
+    let probe_ctx = Ra_core.Context.create machine in
     let probed =
       List.map
         (fun p ->

@@ -13,11 +13,6 @@ type t = {
   kill : Bitset.t array; (* defs, per block *)
   result : Dataflow.result;
   scratch : Bitset.t;
-  uid : int;
-    (* the solution's identity in the race checker's resource vocabulary:
-       the live-in/out arrays and the walk scratch are tagged with one
-       [K_liveness uid] key, so a scan task's whole read side is one
-       declared [Footprint.Liveness] resource *)
 }
 
 let vreg_index (proc : Ra_ir.Proc.t) (r : Ra_ir.Reg.t) =
@@ -42,18 +37,16 @@ let block_gen_kill numbering (b : Ra_ir.Cfg.block) ~gen ~kill =
   done
 
 
-(* Tag the shared faces of a solution — the live-in/out arrays and the
-   iteration scratch, exactly what parallel scan tasks touch — with one
-   coarse race-check key. gen/kill stay under their own identities: only
-   the sequential solver reads them. *)
+(* Tag the faces of a solution its readers share — the live-in/out
+   arrays and the iteration scratch — with one coarse race-check key, so
+   the detector reports a race on the solution once, not per set.
+   gen/kill stay under their own identities: only the solver reads
+   them. *)
 let stamp ~result ~scratch =
-  let uid = Footprint.fresh_uid () in
-  if !Race_log.on then Race_log.created uid;
-  let key = Footprint.K_liveness uid in
+  let key = Footprint.K_liveness (Footprint.fresh_uid ()) in
   Array.iter (fun s -> Bitset.set_key s key) result.Dataflow.live_in;
   Array.iter (fun s -> Bitset.set_key s key) result.Dataflow.live_out;
-  Bitset.set_key scratch key;
-  uid
+  Bitset.set_key scratch key
 
 let compute ~code ~cfg numbering =
   let n = Ra_ir.Cfg.n_blocks cfg in
@@ -69,8 +62,8 @@ let compute ~code ~cfg numbering =
   in
   ignore code;
   let scratch = Bitset.create universe in
-  let uid = stamp ~result ~scratch in
-  { numbering; cfg; gen; kill; result; scratch; uid }
+  stamp ~result ~scratch;
+  { numbering; cfg; gen; kill; result; scratch }
 
 (* Incremental re-solve after a code edit that preserved the block
    structure (spill insertion). The previous solution carries over
@@ -155,8 +148,8 @@ let update ~old ~code ~cfg numbering ~remap ~dirty_blocks =
   done;
   let result = { Dataflow.live_in; live_out } in
   let scratch = Bitset.create universe in
-  let uid = stamp ~result ~scratch in
-  { numbering; cfg; gen; kill; result; scratch; uid }
+  stamp ~result ~scratch;
+  { numbering; cfg; gen; kill; result; scratch }
 
 (* Re-solve after a change of numbering that kept the universe and the
    block structure (coalescing: web ids are renamed to their new class
@@ -264,12 +257,10 @@ let refresh ~old ~cfg numbering ~changed ~sites =
   List.iter rebuild_column changed;
   let result = { Dataflow.live_in; live_out } in
   let scratch = Bitset.create universe in
-  let uid = stamp ~result ~scratch in
-  { numbering; cfg; gen; kill; result; scratch; uid }
+  stamp ~result ~scratch;
+  { numbering; cfg; gen; kill; result; scratch }
 
 let universe t = t.numbering.universe
-
-let uid t = t.uid
 
 let block_live_in t b = t.result.Dataflow.live_in.(b)
 let block_live_out t b = t.result.Dataflow.live_out.(b)

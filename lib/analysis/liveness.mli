@@ -69,12 +69,6 @@ val refresh :
 (** Size of the id universe the analysis was solved over. *)
 val universe : t -> int
 
-(** The solution's race-check identity: the live-in/out sets and the
-    iteration scratch are all tagged with one [Footprint.K_liveness]
-    key under this uid, so a parallel scan task declares its whole read
-    side as a single [Footprint.Liveness (uid live)] resource. *)
-val uid : t -> int
-
 (** Live-in/out of a whole block. Do not mutate the returned sets. *)
 val block_live_in : t -> int -> Ra_support.Bitset.t
 val block_live_out : t -> int -> Ra_support.Bitset.t

@@ -1,13 +1,13 @@
 (* Dynamic race detection: a vector-clock happens-before analysis over
-   the [Race_log] event list, plus footprint conformance — did each task
-   stay inside the effect set it declared?
+   the [Race_log] event list.
 
    Threads are task executions (and per-domain root contexts), not
    domains: two sibling tasks of one batch are logically concurrent even
    when one worker happened to run them back-to-back, so a conflict is
    reported under *every* schedule, not just the unlucky one.
 
-   Vector clocks exploit the pool's structured fork-join discipline.
+   Vector clocks exploit the pool's structured fork-join discipline (and
+   the DAG's, which adds the dependency edges at a node's start).
    Knowledge only ever flows down a submit (every task starts with the
    submitter's snapshot) and back up the matching join, so:
 
@@ -30,10 +30,7 @@
    Per location ([Footprint.key]) the detector keeps the last write and
    the reads since, FastTrack-style: a write must be ordered after the
    previous write and all reads since it; a read after the previous
-   write. [K_telemetry] is exempt from the race check (the sink is
-   mutex-protected) but not from conformance. Accesses to objects the
-   accessing thread itself created are exempt from conformance — a
-   task's private allocations need no declaration. *)
+   write. [K_telemetry] is exempt (the sink is mutex-protected). *)
 
 open Ra_support
 module IntMap = Map.Make (Int)
@@ -47,7 +44,7 @@ type thread = {
   id : int;
   mutable vc : int IntMap.t; (* ancestor thread -> clock known *)
   mutable clock : int; (* own clock; ticks at submit and join *)
-  info : Race_log.task_info option; (* None: a root context *)
+  name : string option; (* None: a root context *)
 }
 
 type location = {
@@ -56,7 +53,6 @@ type location = {
 }
 
 type batch = {
-  b_tasks : Race_log.task_info array;
   b_submit_vc : int IntMap.t;
   mutable b_threads : int list; (* task threads seen so far *)
 }
@@ -80,14 +76,11 @@ type state = {
   nodes : (int, node) Hashtbl.t;
   surrogate : (int, int * int) Hashtbl.t; (* dead task -> (parent, clock) *)
   locations : (Footprint.key, location) Hashtbl.t;
-  creator : (int, int) Hashtbl.t; (* object uid -> creating thread *)
   raced_keys : (Footprint.key, unit) Hashtbl.t; (* one report per location *)
-  reported_conf : (int * Footprint.key, unit) Hashtbl.t;
   mutable diags_rev : Diagnostic.t list;
   mutable n_accesses : int;
   mutable n_sync : int;
   mutable n_races : int;
-  mutable n_violations : int;
 }
 
 let fresh_state () =
@@ -96,14 +89,11 @@ let fresh_state () =
     nodes = Hashtbl.create 256;
     surrogate = Hashtbl.create 256;
     locations = Hashtbl.create 1024;
-    creator = Hashtbl.create 256;
     raced_keys = Hashtbl.create 16;
-    reported_conf = Hashtbl.create 16;
     diags_rev = [];
     n_accesses = 0;
     n_sync = 0;
-    n_races = 0;
-    n_violations = 0 }
+    n_races = 0 }
 
 (* Root threads materialize on first sight: the log only introduces task
    threads explicitly (Task_start). *)
@@ -111,13 +101,13 @@ let thread_state st id =
   match Hashtbl.find_opt st.threads id with
   | Some t -> t
   | None ->
-    let t = { id; vc = IntMap.empty; clock = 0; info = None } in
+    let t = { id; vc = IntMap.empty; clock = 0; name = None } in
     Hashtbl.add st.threads id t;
     t
 
 let thread_name st id =
   match Hashtbl.find_opt st.threads id with
-  | Some { info = Some i; _ } -> i.Race_log.t_name
+  | Some { name = Some n; _ } -> n
   | Some _ | None -> Printf.sprintf "root#%d" id
 
 (* Did access (t, c) happen before everything thread [u] does from now
@@ -155,38 +145,6 @@ let report_race st key ~prior:(pt, _) ~prior_kind ~now:u ~kind =
       :: st.diags_rev
   end
 
-let report_violation st key ~thread ~write =
-  if not (Hashtbl.mem st.reported_conf (thread, key)) then begin
-    Hashtbl.add st.reported_conf (thread, key) ();
-    st.n_violations <- st.n_violations + 1;
-    st.diags_rev <-
-      Diagnostic.error ~check:"footprint-conformance" ~proc:"<pool>"
-        "task %S %s %s outside its declared footprint"
-        (thread_name st thread)
-        (if write then "writes" else "reads")
-        (Footprint.key_to_string key)
-      :: st.diags_rev
-  end
-
-let check_conformance st ~thread ~key ~write =
-  match (thread_state st thread).info with
-  | None | Some { Race_log.t_footprint = None; _ } -> ()
-  | Some { t_footprint = Some fp; _ } ->
-    let own_creation =
-      match Footprint.uid_of_key key with
-      | Some uid -> Hashtbl.find_opt st.creator uid = Some thread
-      | None -> false
-    in
-    if not own_creation then begin
-      let ok =
-        if write then Footprint.covered_by fp.writes key
-        else
-          Footprint.covered_by fp.reads key
-          || Footprint.covered_by fp.writes key
-      in
-      if not ok then report_violation st key ~thread ~write
-    end
-
 let check_race st ~thread:u ~key ~write =
   match key with
   | Footprint.K_telemetry -> () (* sink emissions are mutex-ordered *)
@@ -212,7 +170,7 @@ let check_race st ~thread:u ~key ~write =
 
 let step st (ev : Race_log.event) =
   match ev with
-  | Batch_submit { batch; submitter; tasks } ->
+  | Batch_submit { batch; submitter } ->
     st.n_sync <- st.n_sync + 1;
     let s = thread_state st submitter in
     let submit_vc = IntMap.add submitter s.clock s.vc in
@@ -220,20 +178,18 @@ let step st (ev : Race_log.event) =
        ordered before the tasks: tick past the snapshot *)
     s.clock <- s.clock + 1;
     Hashtbl.replace st.batches batch
-      { b_tasks = tasks; b_submit_vc = submit_vc; b_threads = [] }
+      { b_submit_vc = submit_vc; b_threads = [] }
   | Task_start { batch; index; thread } ->
     st.n_sync <- st.n_sync + 1;
     (match Hashtbl.find_opt st.batches batch with
      | None -> () (* submit fell outside the logging scope: untracked *)
      | Some b ->
-       let info =
-         if index >= 0 && index < Array.length b.b_tasks then
-           Some b.b_tasks.(index)
-         else None
-       in
        b.b_threads <- thread :: b.b_threads;
        Hashtbl.replace st.threads thread
-         { id = thread; vc = b.b_submit_vc; clock = 0; info })
+         { id = thread;
+           vc = b.b_submit_vc;
+           clock = 0;
+           name = Some ("task-" ^ string_of_int index) })
   | Task_end _ -> ()
   | Batch_join { batch; submitter } ->
     st.n_sync <- st.n_sync + 1;
@@ -291,9 +247,7 @@ let step st (ev : Race_log.event) =
          { id = thread;
            vc;
            clock = 0;
-           (* stage tasks declare no concrete footprint — conformance
-              is vacuous; ordering is what the node events check *)
-           info = Some { Race_log.t_name = nd.nd_name; t_footprint = None } })
+           name = Some nd.nd_name })
   | Node_end { node; thread } ->
     (match Hashtbl.find_opt st.nodes node with
      | None -> ()
@@ -312,10 +266,8 @@ let step st (ev : Race_log.event) =
         | Some _ | None -> ())
       nodes;
     s.clock <- s.clock + 1
-  | Created { thread; uid } -> Hashtbl.replace st.creator uid thread
   | Access { thread; key; write } ->
     st.n_accesses <- st.n_accesses + 1;
-    check_conformance st ~thread ~key ~write;
     check_race st ~thread ~key ~write
 
 let analyze ?(tele = Telemetry.null) events =
@@ -325,8 +277,7 @@ let analyze ?(tele = Telemetry.null) events =
     Telemetry.counter tele "race.accesses" st.n_accesses;
     Telemetry.counter tele "race.sync" st.n_sync;
     Telemetry.counter tele "race.threads" (Hashtbl.length st.threads);
-    Telemetry.counter tele "race.races" st.n_races;
-    Telemetry.counter tele "race.footprint_violations" st.n_violations
+    Telemetry.counter tele "race.races" st.n_races
   end;
   List.rev st.diags_rev
 

@@ -1,26 +1,21 @@
-(** Dynamic race detection and footprint conformance for the
-    domain-parallel allocator ([RA_RACE_CHECK] / [--race-check]).
+(** Dynamic race detection for the allocator's parallel runs
+    ([RA_RACE_CHECK] / [--race-check]).
 
     Replays the {!Ra_support.Race_log} event list through a vector-clock
     happens-before analysis (task executions are the logical threads;
-    pool batch submit/join events are the synchronization edges) and
-    reports:
-
-    - [data-race]: two accesses to one shared location, at least one a
-      write, with no happens-before order — under *any* schedule, since
-      sibling tasks are logically concurrent even when one worker ran
-      them back-to-back;
-    - [footprint-conformance]: a task touched a shared resource outside
-      the footprint it declared at dispatch (objects the task itself
-      created are exempt; tasks without a declaration, and root
-      contexts, are unconstrained). *)
+    pool batch submit/join events and the DAG scheduler's node and
+    dependency events are the synchronization edges) and reports
+    [data-race]: two accesses to one shared location, at least one a
+    write, with no happens-before order — under *any* schedule, since
+    logically concurrent tasks race even when one worker ran them
+    back-to-back. *)
 
 (** [RA_RACE_CHECK] is set to something other than [""]/["0"]. *)
 val enabled_from_env : unit -> bool
 
 (** Analyze an event list. When [tele] is an enabled sink, emits the
-    [race.accesses], [race.sync], [race.threads], [race.races] and
-    [race.footprint_violations] counters. *)
+    [race.accesses], [race.sync], [race.threads] and [race.races]
+    counters. *)
 val analyze :
   ?tele:Ra_support.Telemetry.t -> Ra_support.Race_log.event list ->
   Diagnostic.t list

@@ -32,11 +32,6 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
     match tele with Some t -> t | None -> Telemetry.ambient ()
   in
   if Telemetry.enabled tele then Scheduler.set_telemetry sched tele;
-  (* the shared build's block scan shards onto the same scheduler via
-     the pool façade, interleaving with the stage tasks *)
-  let bpool =
-    if Scheduler.jobs sched > 1 then Some (Scheduler.pool sched) else None
-  in
   (* Largest routine first: submission order is the ready-queue order
      for independent stage chains, so seeding the DAG with the longest
      routines keeps their (longest) critical paths off the tail of the
@@ -63,19 +58,13 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
         (fun (orig, proc) ->
           (* Per-pipeline contexts are single-threaded and private:
              their scratch graphs, buckets and edge caches are the
-             stage chain's only mutable state besides its proc copy.
-             Build scans stay at jobs:1: procedure-level parallelism
-             owns the domains. *)
+             stage chain's only mutable state besides its proc copy. *)
           let pipelines =
             List.map
-              (fun h ->
-                h,
-                Context.create ?edge_cache ~verify ~jobs:1 ~tele machine)
+              (fun h -> h, Context.create ?edge_cache ~verify ~tele machine)
               heuristics
           in
-          ( orig,
-            Pipeline.submit_dag sched cfgn machine ~tele ?bpool ~pipelines
-              proc ))
+          (orig, Pipeline.submit_dag sched cfgn machine ~tele ~pipelines proc))
         by_size)
   in
   let rows =

@@ -8,9 +8,8 @@ val default_pool : unit -> Ra_support.Pool.t option
 (** [allocate_all machine heuristic procs] allocates the procedures one
     after another with {!Allocator.allocate} over one warm context —
     [context] when given (its buffers and stats stay warm across the
-    whole batch), else one fresh context made with [edge_cache]. The
-    context's own pool still parallelizes each graph build. Results in
-    procedure order. *)
+    whole batch), else one fresh context made with [edge_cache]. It runs
+    on the calling domain. Results in procedure order. *)
 val allocate_all :
   ?context:Context.t ->
   ?edge_cache:bool ->

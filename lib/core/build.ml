@@ -121,88 +121,63 @@ let rep_ids rep ws =
 
 let enc_phys p = -1 - p
 
-(* ---- staging buffers for the parallel scan ----
+(* ---- pair layers ----
 
-   Each worker owns a stage: a private dedup matrix per class plus a flat
-   pair array recording, in scan order, the first occurrence within the
-   worker's block range of every edge it discovers. Nothing shared is
-   written during the scan; the merge replays the stages in block order.
-   The cache-backed parallel path reuses the same stages, but only for
-   their dedup matrices and liveness scratch — rescanned edges then land
-   in the per-block cache entries instead of the chunk pair arrays. *)
+   A layer is a flat record of encoded pairs per class, in scan order:
+   the raw emission stream of the blocks scanned into it, within-block
+   duplicates and all. [Igraph.add_edge]'s global first-occurrence dedup
+   collapses them on replay, so storing the stream undeduplicated trades
+   a little memory for a scan with no per-pair bookkeeping beyond the
+   push. *)
 
-type stage = {
-  seen_int : Bit_matrix.t;
-  seen_flt : Bit_matrix.t;
-  mutable pairs_int : int array; (* flat (a, b) pairs, scan order *)
-  mutable n_int : int;
-  mutable pairs_flt : int array;
-  mutable n_flt : int;
-  stage_live : Bitset.t; (* per-worker liveness walk scratch *)
+type layer = {
+  mutable lp_int : int array; (* flat encoded (a, b) pairs, scan order *)
+  mutable ln_int : int;
+  mutable lp_flt : int array;
+  mutable ln_flt : int;
 }
 
-let fresh_stage () =
-  { seen_int = Bit_matrix.create 0;
-    seen_flt = Bit_matrix.create 0;
-    pairs_int = [||];
-    n_int = 0;
-    pairs_flt = [||];
-    n_flt = 0;
-    stage_live = Bitset.create 0 }
+let fresh_layer () = { lp_int = [||]; ln_int = 0; lp_flt = [||]; ln_flt = 0 }
 
-type par_scratch = { mutable stages : stage array }
+let clear_layer l =
+  l.ln_int <- 0;
+  l.ln_flt <- 0
 
-let par_scratch () = { stages = [||] }
+let push layer cls a b =
+  match cls with
+  | Reg.Int_reg ->
+    let cap = Array.length layer.lp_int in
+    if (2 * layer.ln_int) + 2 > cap then begin
+      let grown = Array.make (max 64 (2 * cap)) 0 in
+      Array.blit layer.lp_int 0 grown 0 (2 * layer.ln_int);
+      layer.lp_int <- grown
+    end;
+    Array.unsafe_set layer.lp_int (2 * layer.ln_int) a;
+    Array.unsafe_set layer.lp_int ((2 * layer.ln_int) + 1) b;
+    layer.ln_int <- layer.ln_int + 1
+  | Reg.Flt_reg ->
+    let cap = Array.length layer.lp_flt in
+    if (2 * layer.ln_flt) + 2 > cap then begin
+      let grown = Array.make (max 64 (2 * cap)) 0 in
+      Array.blit layer.lp_flt 0 grown 0 (2 * layer.ln_flt);
+      layer.lp_flt <- grown
+    end;
+    Array.unsafe_set layer.lp_flt (2 * layer.ln_flt) a;
+    Array.unsafe_set layer.lp_flt ((2 * layer.ln_flt) + 1) b;
+    layer.ln_flt <- layer.ln_flt + 1
 
-let ensure_stages ps n =
-  if Array.length ps.stages < n then begin
-    let old = ps.stages in
-    ps.stages <-
-      Array.init n (fun j ->
-        if j < Array.length old then old.(j) else fresh_stage ())
-  end
-
-let stage_emit s cls a b =
-  if a <> b then
-    match cls with
-    | Reg.Int_reg ->
-      if not (Bit_matrix.mem s.seen_int a b) then begin
-        Bit_matrix.set s.seen_int a b;
-        let cap = Array.length s.pairs_int in
-        if (2 * s.n_int) + 2 > cap then begin
-          let grown = Array.make (max 64 (2 * cap)) 0 in
-          Array.blit s.pairs_int 0 grown 0 (2 * s.n_int);
-          s.pairs_int <- grown
-        end;
-        s.pairs_int.(2 * s.n_int) <- a;
-        s.pairs_int.((2 * s.n_int) + 1) <- b;
-        s.n_int <- s.n_int + 1
-      end
-    | Reg.Flt_reg ->
-      if not (Bit_matrix.mem s.seen_flt a b) then begin
-        Bit_matrix.set s.seen_flt a b;
-        let cap = Array.length s.pairs_flt in
-        if (2 * s.n_flt) + 2 > cap then begin
-          let grown = Array.make (max 64 (2 * cap)) 0 in
-          Array.blit s.pairs_flt 0 grown 0 (2 * s.n_flt);
-          s.pairs_flt <- grown
-        end;
-        s.pairs_flt.(2 * s.n_flt) <- a;
-        s.pairs_flt.((2 * s.n_flt) + 1) <- b;
-        s.n_flt <- s.n_flt + 1
-      end
+(* The layer a build without an edge cache scans into: one per domain,
+   since a build runs start to finish on the domain that called it, so
+   two builds never share one. *)
+let scan_layer = Domain.DLS.new_key fresh_layer
 
 (* ---- the per-block edge cache ----
 
-   For each CFG block, the cache records the encoded pair sequence the
-   scan emitted there under the *identity* aliasing (coalescing round
-   0): per class, the raw emission stream in scan order (within-block
-   duplicates and all — [Igraph.add_edge]'s global first-occurrence
-   dedup collapses them on replay, so storing the stream undeduplicated
-   trades a little memory for a scan with no per-pair bookkeeping
-   beyond the push). An entry survives spill passes — renamed through
-   [Webs.rebuild]'s old-to-new map by {!Edge_cache.remap}, with pairs
-   touching a retired (spilled) web dropped, and the blocks that
+   For each CFG block, the cache records in a layer the encoded pair
+   sequence the scan emitted there under the *identity* aliasing
+   (coalescing round 0). An entry survives spill passes — renamed
+   through [Webs.rebuild]'s old-to-new map by {!Edge_cache.remap}, with
+   pairs touching a retired (spilled) web dropped, and the blocks that
    received spill code invalidated.
 
    Replay walks every block in block order and pushes the stored pairs
@@ -211,16 +186,6 @@ let stage_emit s cls a b =
    scan (see the exactness argument at [build_graphs]). *)
 
 module Edge_cache = struct
-  type layer = {
-    mutable lp_int : int array; (* flat encoded (a, b) pairs, scan order *)
-    mutable ln_int : int;
-    mutable lp_flt : int array;
-    mutable ln_flt : int;
-  }
-
-  let fresh_layer () =
-    { lp_int = [||]; ln_int = 0; lp_flt = [||]; ln_flt = 0 }
-
   type entry = {
     e_layer : layer;
     mutable valid : bool;
@@ -231,7 +196,7 @@ module Edge_cache = struct
   type t = {
     mutable entries : entry array;
     mutable cached_blocks : int; (* entries in use: the proc's block count *)
-    seq_live : Bitset.t; (* sequential-scan liveness scratch *)
+    seq_live : Bitset.t; (* the rescans' liveness walk scratch *)
     (* per-build counters, reset at each Build.build *)
     mutable hits : int; (* blocks replayed without a rescan *)
     mutable misses : int; (* blocks rescanned *)
@@ -239,19 +204,15 @@ module Edge_cache = struct
   }
 
   let create () =
-    let uid = Footprint.fresh_uid () in
-    if !Race_log.on then Race_log.created uid;
     { entries = [||];
       cached_blocks = 0;
       seq_live = Bitset.create 0;
       hits = 0;
       misses = 0;
-      uid }
+      uid = Footprint.fresh_uid () }
 
   (* Race-check hooks at block-slot granularity: one key per cached
-     block, covering its entry's layer and validity flag together. A
-     rescan task declares the contiguous slot range of its chunk as an
-     [Footprint.Edge_cache_blocks] resource. *)
+     block, covering its entry's layer and validity flag together. *)
   let log_block_write t b =
     if !Race_log.on then
       Race_log.write (Footprint.K_edge_cache_block (t.uid, b))
@@ -262,7 +223,6 @@ module Edge_cache = struct
 
   let hits t = t.hits
   let misses t = t.misses
-  let uid t = t.uid
   let reset_stats t =
     t.hits <- 0;
     t.misses <- 0
@@ -302,29 +262,6 @@ module Edge_cache = struct
           invalidate_entry t.entries.(b)
         end)
       bs
-
-  let push layer cls a b =
-    match cls with
-    | Reg.Int_reg ->
-      let cap = Array.length layer.lp_int in
-      if (2 * layer.ln_int) + 2 > cap then begin
-        let grown = Array.make (max 64 (2 * cap)) 0 in
-        Array.blit layer.lp_int 0 grown 0 (2 * layer.ln_int);
-        layer.lp_int <- grown
-      end;
-      Array.unsafe_set layer.lp_int (2 * layer.ln_int) a;
-      Array.unsafe_set layer.lp_int ((2 * layer.ln_int) + 1) b;
-      layer.ln_int <- layer.ln_int + 1
-    | Reg.Flt_reg ->
-      let cap = Array.length layer.lp_flt in
-      if (2 * layer.ln_flt) + 2 > cap then begin
-        let grown = Array.make (max 64 (2 * cap)) 0 in
-        Array.blit layer.lp_flt 0 grown 0 (2 * layer.ln_flt);
-        layer.lp_flt <- grown
-      end;
-      Array.unsafe_set layer.lp_flt (2 * layer.ln_flt) a;
-      Array.unsafe_set layer.lp_flt ((2 * layer.ln_flt) + 1) b;
-      layer.ln_flt <- layer.ln_flt + 1
 
   (* Rename one layer's web endpoints through [old_to_new], dropping any
      pair with a retired endpoint, compacting in place. Physical-register
@@ -378,51 +315,6 @@ module Edge_cache = struct
     !found
 end
 
-(* Test hook for the race detector: when set, every parallel cached
-   rescan task additionally invalidates the first block of the *next*
-   chunk — plain boolean stores, memory-safe, but a logically concurrent
-   write into a sibling task's declared slot range. Output-preserving:
-   replay ignores the flag, so a lost validity costs only a rescan at the
-   next pass. The detector must report it both as a write/write race and
-   as a footprint violation, under any schedule. *)
-let seeded_cache_race = ref false
-
-(* Cut [n_items] weighted items into [n_chunks] contiguous ranges of
-   roughly equal total weight. [starts.(c)] is chunk [c]'s first item;
-   every chunk is non-empty. [n_chunks] is clamped to the item count (and
-   to at least 1), so callers may pass any pool width — the returned
-   array has [effective_chunks + 1] entries. *)
-let chunk_weights ~weights ~n_chunks =
-  let n_items = Array.length weights in
-  let n_chunks = max 1 (min n_chunks n_items) in
-  let cum = Array.make (n_items + 1) 0 in
-  for i = 0 to n_items - 1 do
-    cum.(i + 1) <- cum.(i) + weights.(i)
-  done;
-  let total = cum.(n_items) in
-  let starts = Array.make (n_chunks + 1) 0 in
-  starts.(n_chunks) <- n_items;
-  let i = ref 0 in
-  for c = 1 to n_chunks - 1 do
-    let target = c * total / n_chunks in
-    while !i < n_items && cum.(!i) < target do
-      incr i
-    done;
-    let lo = starts.(c - 1) + 1 in
-    let hi = n_items - (n_chunks - c) in
-    starts.(c) <- max lo (min !i hi);
-    i := starts.(c)
-  done;
-  starts
-
-(* Cut the blocks into at most [n_chunks] contiguous ranges of roughly
-   equal instruction count, clamping to the block count. *)
-let chunk_starts (cfg : Cfg.t) ~n_chunks =
-  let weights =
-    Array.map (fun (blk : Cfg.block) -> blk.last - blk.first + 1) cfg.blocks
-  in
-  chunk_weights ~weights ~n_chunks
-
 (* Build the two class graphs for the current aliasing. [rep] is a
    snapshot of the alias representatives ([rep.(w) = Union_find.find w]),
    precomputed so the scan never touches the path-compressing union-find;
@@ -430,29 +322,29 @@ let chunk_starts (cfg : Cfg.t) ~n_chunks =
    the liveness solution under that numbering; [moves] is the build's
    move table, which supplies each copy's webs for the source exclusion.
 
-   With a pool of width > 1 the per-block scan is sharded: each worker
-   stages its chunk's edges privately (first occurrence per chunk, in
-   scan order) and the merge replays the stages chunk by chunk through
-   [Igraph.add_edge]. The pair sequence surviving add_edge's global dedup
-   is then exactly the sequence of global first occurrences in block/scan
-   order — the same events, in the same order, with the same argument
-   order, as the sequential scan — so adjacency insertion order (which
-   coloring is sensitive to) is bit-identical to the sequential build.
+   The block scan stages, then replays: it pushes every block's
+   interferences, in scan order, into a pair layer, and the layers are
+   then streamed through [Igraph.add_edge] in block order. Staging beats
+   emitting into the graphs mid-scan: the walk's working set (live sets,
+   webs) and the graphs' matrices stop evicting each other. Without
+   [cache] all blocks scan into this domain's scratch layer; the replayed
+   stream is the scan's own, so the graphs are those direct emission
+   would build.
 
    With [cache] (round 0 only, where [rep] is the identity) the scan is
    incremental: only blocks without a valid cache entry — the blocks
    that received spill code, or every block on a scratch pass — are
-   rescanned, sequentially or sharded across the pool, into their
-   per-block entries; every block is then replayed in block order
-   through [add_edge]. Exactness for clean blocks: a spill edit only
-   renames or retires entries of their live sets, so the renamed image
-   of a clean block's cached pairs is, pair for pair and in order, what
-   a rescan would stage. Global first occurrences, and therefore
-   adjacency insertion order, match the from-scratch scan exactly;
+   rescanned, each into its own entry's layer; every block is then
+   replayed in block order through [add_edge]. Exactness for clean
+   blocks: a spill edit only renames or retires entries of their live
+   sets, so the renamed image of a clean block's cached pairs is, pair
+   for pair and in order, what a rescan would push. The surviving global
+   first occurrences, and therefore adjacency insertion order (which
+   coloring is sensitive to), match the from-scratch scan exactly;
    [RA_VERIFY] cross-checks this every build. *)
 let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
     ~(moves : moves) ~(rep : int array) ~numbering ~(live : Liveness.t)
-    ~scratch ~pool ~par ~cache ~tele =
+    ~scratch ~cache ~tele =
   let n_webs = Webs.n_webs webs in
   (* dense node numbering per class, representatives only *)
   let node_of_web = Array.make (max n_webs 1) (-1) in
@@ -492,12 +384,12 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
   (* node id of an encoded endpoint *at scan time* (web endpoints are
      representatives of the aliasing being scanned) *)
   let node_of_enc x = if x >= 0 then node_of_web.(x) else -1 - x in
-  (* Scan blocks [lo, hi] backward against [live], handing every
-     interference to [emit cls a b] — encoded endpoints — in
-     deterministic scan order. Read-only on all shared state:
-     [live_scratch], when given, carries the walk's live set (workers
-     each pass their own). *)
-  let scan_blocks ~emit ~live_scratch lo hi =
+  (* Scan blocks [lo, hi] backward against [live], pushing every
+     interference — encoded endpoints — into [layer] in deterministic
+     scan order. [live_scratch], when given, carries the walk's live set
+     in place of [live]'s own scratch. *)
+  let scan_blocks layer ~live_scratch lo hi =
+    let emit cls a b = push layer cls a b in
     let add_def_edges ~live_after def_rep ~excluding =
       let cls = cls_of_web webs def_rep in
       Bitset.iter
@@ -528,6 +420,17 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
     done
   in
   let n_blocks = Cfg.n_blocks cfg in
+  let replay_pairs graph pairs n =
+    for p = 0 to n - 1 do
+      Igraph.add_edge graph
+        (node_of_enc (Array.unsafe_get pairs (2 * p)))
+        (node_of_enc (Array.unsafe_get pairs ((2 * p) + 1)))
+    done
+  in
+  let replay layer =
+    replay_pairs int_graph layer.lp_int layer.ln_int;
+    replay_pairs flt_graph layer.lp_flt layer.ln_flt
+  in
   (match cache with
    | Some ec ->
      let open Edge_cache in
@@ -542,176 +445,29 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
      let n_rescan = List.length rescan in
      ec.misses <- ec.misses + n_rescan;
      ec.hits <- ec.hits + (n_blocks - n_rescan);
-     let fresh_layer_of b =
-       let layer = ec.entries.(b).e_layer in
-       layer.ln_int <- 0;
-       layer.ln_flt <- 0;
-       layer
-     in
-     let mark_valid b = ec.entries.(b).valid <- true in
-     (* replay one block through add_edge's global first-occurrence
-        dedup *)
-     let replay_pairs graph pairs n =
-       for p = 0 to n - 1 do
-         Igraph.add_edge graph
-           (node_of_enc (Array.unsafe_get pairs (2 * p)))
-           (node_of_enc (Array.unsafe_get pairs ((2 * p) + 1)))
-       done
-     in
-     let replay_block b =
+     Telemetry.span tele Phase.Scan
+       ~args:(fun () -> [ "proc", proc.name; "blocks", string_of_int n_rescan ])
+       (fun () ->
+         List.iter
+           (fun b ->
+             log_block_write ec b;
+             let e = ec.entries.(b) in
+             clear_layer e.e_layer;
+             scan_blocks e.e_layer ~live_scratch:(Some ec.seq_live) b b;
+             e.valid <- true)
+           rescan);
+     for b = 0 to n_blocks - 1 do
        log_block_read ec b;
-       let layer = ec.entries.(b).e_layer in
-       replay_pairs int_graph layer.lp_int layer.ln_int;
-       replay_pairs flt_graph layer.lp_flt layer.ln_flt
-     in
-     (match pool with
-      | Some p when Pool.jobs p > 1 && n_rescan > 1 ->
-        (* workers rescan only the dirty blocks of their chunk; each
-           writes its blocks' private cache entries, nothing shared.
-           The merge then replays every block in block order. *)
-        let blocks = Array.of_list rescan in
-        let weights =
-          Array.map
-            (fun b ->
-              let blk = cfg.blocks.(b) in
-              blk.Cfg.last - blk.Cfg.first + 1)
-            blocks
-        in
-        let starts = chunk_weights ~weights ~n_chunks:(Pool.jobs p) in
-        let n_chunks = Array.length starts - 1 in
-        let ps = match par with Some q -> q | None -> par_scratch () in
-        ensure_stages ps n_chunks;
-        let meta j =
-          { Pool.tm_name =
-              Printf.sprintf "scan:%s:chunk%d" proc.name j;
-            tm_footprint =
-              { Footprint.reads = [ Footprint.Liveness (Liveness.uid live) ];
-                writes =
-                  [ Footprint.Bitset (Bitset.uid ps.stages.(j).stage_live);
-                    Footprint.Edge_cache_blocks
-                      { id = ec.uid;
-                        lo = blocks.(starts.(j));
-                        hi = blocks.(starts.(j + 1) - 1) };
-                    Footprint.Telemetry ] } }
-        in
-        Pool.run p ~meta ~n:n_chunks (fun j ->
-          (* span emitted from the worker: carries the worker domain's
-             id, so the trace shows the rescans as per-domain tracks *)
-          Telemetry.span tele Phase.Scan
-            ~args:(fun () ->
-              [ "proc", proc.name;
-                "chunk", string_of_int j;
-                "blocks", string_of_int (starts.(j + 1) - starts.(j)) ])
-            (fun () ->
-              let s = ps.stages.(j) in
-              for idx = starts.(j) to starts.(j + 1) - 1 do
-                let b = blocks.(idx) in
-                log_block_write ec b;
-                let layer = fresh_layer_of b in
-                scan_blocks ~live_scratch:(Some s.stage_live)
-                  ~emit:(fun cls a b -> push layer cls a b)
-                  b b;
-                mark_valid b
-              done;
-              if !seeded_cache_race && j + 1 < n_chunks then
-                invalidate_blocks ec [ blocks.(starts.(j + 1)) ]));
-        for b = 0 to n_blocks - 1 do
-          replay_block b
-        done
-      | Some _ | None ->
-        (* stage, then replay — even sequentially. Scanning into the
-           compact layer arrays first and streaming them into the graphs
-           afterward beats emitting into the graphs mid-scan: the walk's
-           working set (live sets, webs) and the graphs' matrices stop
-           evicting each other. *)
-        Telemetry.span tele Phase.Scan
-          ~args:(fun () ->
-            [ "proc", proc.name; "blocks", string_of_int n_rescan ])
-          (fun () ->
-            List.iter
-              (fun b ->
-                log_block_write ec b;
-                let layer = fresh_layer_of b in
-                scan_blocks ~live_scratch:(Some ec.seq_live)
-                  ~emit:(fun cls a b -> push layer cls a b)
-                  b b;
-                mark_valid b)
-              rescan);
-        for b = 0 to n_blocks - 1 do
-          replay_block b
-        done)
+       replay ec.entries.(b).e_layer
+     done
    | None ->
-     let n_chunks =
-       match pool with
-       | Some p when Pool.jobs p > 1 -> min (Pool.jobs p) n_blocks
-       | Some _ | None -> 1
-     in
-     if n_chunks <= 1 then
-       Telemetry.span tele Phase.Scan
-         ~args:(fun () ->
-           [ "proc", proc.name; "blocks", string_of_int n_blocks ])
-         (fun () ->
-           scan_blocks
-             ~emit:(fun cls a b ->
-               Igraph.add_edge (graph_of cls) (node_of_enc a) (node_of_enc b))
-             ~live_scratch:None 0 (n_blocks - 1))
-     else begin
-       let pool = Option.get pool in
-       let ps = match par with Some p -> p | None -> par_scratch () in
-       ensure_stages ps n_chunks;
-       let starts = chunk_starts cfg ~n_chunks in
-       let n_chunks = Array.length starts - 1 in
-       let nn_int = Igraph.n_nodes int_graph in
-       let nn_flt = Igraph.n_nodes flt_graph in
-       let meta j =
-         let s = ps.stages.(j) in
-         { Pool.tm_name =
-             Printf.sprintf "scan:%s:chunk%d" proc.name j;
-           tm_footprint =
-             { Footprint.reads = [ Footprint.Liveness (Liveness.uid live) ];
-               writes =
-                 (* full row ranges: resize reports row -1 (the whole
-                    matrix), which only a full-range claim covers *)
-                 [ Footprint.Bitset (Bitset.uid s.stage_live);
-                   Footprint.Bit_matrix_rows
-                     { id = Bit_matrix.uid s.seen_int; lo = 0; hi = max_int };
-                   Footprint.Bit_matrix_rows
-                     { id = Bit_matrix.uid s.seen_flt; lo = 0; hi = max_int };
-                   Footprint.Telemetry ] } }
-       in
-       Pool.run pool ~meta ~n:n_chunks (fun j ->
-         (* span emitted from the worker: carries the worker domain's id,
-            so the trace shows the sharded scan as per-domain tracks *)
-         Telemetry.span tele Phase.Scan
-           ~args:(fun () ->
-             [ "proc", proc.name;
-               "chunk", string_of_int j;
-               "blocks", string_of_int (starts.(j + 1) - starts.(j)) ])
-           (fun () ->
-             let s = ps.stages.(j) in
-             Bit_matrix.resize s.seen_int nn_int;
-             Bit_matrix.resize s.seen_flt nn_flt;
-             s.n_int <- 0;
-             s.n_flt <- 0;
-             scan_blocks
-               ~emit:(fun cls a b ->
-                 stage_emit s cls (node_of_enc a) (node_of_enc b))
-               ~live_scratch:(Some s.stage_live)
-               starts.(j)
-               (starts.(j + 1) - 1)));
-       (* deterministic merge, chunk by chunk in block order *)
-       for j = 0 to n_chunks - 1 do
-         let s = ps.stages.(j) in
-         for p = 0 to s.n_int - 1 do
-           Igraph.add_edge int_graph s.pairs_int.(2 * p)
-             s.pairs_int.((2 * p) + 1)
-         done;
-         for p = 0 to s.n_flt - 1 do
-           Igraph.add_edge flt_graph s.pairs_flt.(2 * p)
-             s.pairs_flt.((2 * p) + 1)
-         done
-       done
-     end);
+     let layer = Domain.DLS.get scan_layer in
+     clear_layer layer;
+     Telemetry.span tele Phase.Scan
+       ~args:(fun () -> [ "proc", proc.name; "blocks", string_of_int n_blocks ])
+       (fun () ->
+         scan_blocks layer ~live_scratch:None 0 (n_blocks - 1));
+     replay layer);
   (* webs live into the entry block are defined simultaneously at entry *)
   let entry_in = Liveness.block_live_in live 0 in
   Bitset.iter
@@ -985,7 +741,7 @@ let query_interference ?carry (cfg : Cfg.t) (webs : Webs.t) (moves : moves)
   answer
 
 let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
-    ?live0 ?scratch ?pool ?par ?touched ?cache ?(verify = false)
+    ?live0 ?scratch ?touched ?cache ?(verify = false)
     ?(tele = Telemetry.null) () : t =
   let mode =
     match coalesce_mode with
@@ -1107,7 +863,7 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
   in
   let reference_graphs ~rep ~numbering ~live =
     build_graphs machine proc cfg webs ~moves ~rep ~numbering ~live
-      ~scratch:None ~pool:None ~par:None ~cache:None ~tele:Telemetry.null
+      ~scratch:None ~cache:None ~tele:Telemetry.null
   in
   (* every candidate's query answer against the reference graph's edge *)
   let check_query ~rep ~numbering ~live answer =
@@ -1221,9 +977,6 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
       end
     done
   in
-  let parallel =
-    match pool with Some p -> Pool.jobs p > 1 | None -> false
-  in
   let rec fixpoint total ~first ~rounds ~prev_rep ~prev_live ~prev_answer
       ~round_graphs =
     let rep = Array.init (max n_webs 1) (Union_find.find alias) in
@@ -1245,20 +998,19 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
       end
     in
     (* this round's graphs — the edge cache serves round 0 only —
-       cross-checked under [verify] when they came from the pool or the
-       cache *)
+       cross-checked under [verify] when they came from the cache *)
     let graphs () =
       let cache = if first then cache else None in
       let ((ig, fg, _, _, _) as built) =
         build_graphs machine proc cfg webs ~moves ~rep ~numbering ~live
-          ~scratch ~pool ~par ~cache ~tele
+          ~scratch ~cache ~tele
       in
-      if verify && (parallel || cache <> None) then
+      if verify && cache <> None then
         Telemetry.span tele Phase.Verify (fun () ->
-          (* reference scan into fresh graphs, sequentially and uncached;
-             the parallel/cache-backed result must be indistinguishable
-             from it, down to adjacency order. The reference scan reports
-             nowhere — its spans would pollute the Scan totals. *)
+          (* reference scan into fresh graphs, uncached; the
+             cache-backed result must be indistinguishable from it, down
+             to adjacency order. The reference scan reports nowhere — its
+             spans would pollute the Scan totals. *)
           let ig_s, fg_s, _, _, _ =
             reference_graphs ~rep ~numbering ~live
           in

@@ -24,11 +24,10 @@ open Ra_analysis
     nothing.
 
     The per-block edge scan — the dominant cost of every allocation
-    pass — can run on a {!Ra_support.Pool}: blocks are sharded into
-    contiguous chunks, each worker stages its chunk's edges in a private
-    deduplicated buffer, and a deterministic merge replays the stages in
-    block order, reproducing the sequential graph bit for bit (adjacency
-    insertion order included, which coloring outcomes depend on).
+    pass — stages, then replays: it pushes each block's interferences
+    into a flat pair buffer in scan order, and the buffers are then
+    streamed into the graphs in block order, so adjacency insertion
+    order (which coloring outcomes depend on) is the scan's own.
 
     A pass's round-0 scan can also run *incrementally* against an
     {!Edge_cache}: only the blocks that received spill code since the
@@ -37,10 +36,9 @@ open Ra_analysis
     replayed event stream is identical to a from-scratch scan's, so the
     resulting graphs (adjacency order included) are bit-identical. *)
 
-(** Raised when a [verify] cross-check finds the parallel or cache-backed
-    graph, an interference-query answer, a [Conservative] round graph,
-    or the refreshed liveness differing from a sequential uncached
-    recomputation. *)
+(** Raised when a [verify] cross-check finds the cache-backed graph, an
+    interference-query answer, a [Conservative] round graph, or the
+    refreshed liveness differing from an uncached recomputation. *)
 exception Divergence of string
 
 type t = {
@@ -90,13 +88,6 @@ type coalesce_mode =
   | Conservative
   | Off
 
-(** Reusable staging buffers for the parallel scan (one per pool worker,
-    grown on demand). Owned by the allocation context so they survive
-    fixpoint rounds, passes and procedures. *)
-type par_scratch
-
-val par_scratch : unit -> par_scratch
-
 (** Per-block cache of the round-0 edge scan's pair sequences, owned by
     the allocation context (one per context, reused across passes and
     procedures of a run). Entries are keyed by CFG block and store
@@ -143,22 +134,7 @@ module Edge_cache : sig
       stages, so the next verified cache-backed build must raise
       {!Divergence}. Returns [false] if no entry was valid. *)
   val poison : t -> bool
-
-  (** The cache's race-check identity: accesses are reported as
-      [Footprint.K_edge_cache_block (uid, block)] keys, one per cached
-      block slot. *)
-  val uid : t -> int
 end
-
-(** Test hook for the race detector: when set, every parallel
-    cache-backed rescan task additionally invalidates the first block of
-    the next chunk — memory-safe, but a logically concurrent write into
-    a sibling task's declared edge-cache slot range. It is
-    output-preserving (replay ignores the flag; a lost validity only
-    costs a rescan at the next pass). [RA_RACE_CHECK] must flag it as
-    both a write/write race and a footprint violation, under any
-    schedule. *)
-val seeded_cache_race : bool ref
 
 (** Test hook for the per-round cross-checks: when set, every
     [Aggressive] coalescing round flips the query answer of its first
@@ -166,13 +142,6 @@ val seeded_cache_race : bool ref
     edge between that move's two classes. A build with [verify] must
     then raise {!Divergence}. *)
 val seeded_query_flip : bool ref
-
-(** Cut the CFG's blocks into at most [n_chunks] contiguous ranges of
-    roughly equal instruction count. [starts.(c)] is chunk [c]'s first
-    block; every chunk is non-empty, and [n_chunks] is clamped to the
-    block count, so the result has [min n_chunks n_blocks + 1] entries.
-    Exposed for the parallel path's tests. *)
-val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
 
 (** [coalesce_mode], when given, overrides the boolean [coalesce] knob
     ([~coalesce:true] means [Aggressive], [false] means [Off]); it is how
@@ -192,23 +161,19 @@ val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
     given, is a pair of graph buffers (int class, flt class) that every
     iteration {!Igraph.reset}s and builds into: the returned [t] then
     aliases those buffers, which stay valid until the next build that
-    reuses them. [pool] parallelizes the per-block edge scan ([par]
-    supplies the staging buffers; [touched] the coalescing scan's
-    scratch set). [cache] makes the scan incremental (see
-    {!Edge_cache}); with a pool, workers rescan only the dirty blocks of
-    their chunk. [verify] cross-checks the parallel/cached graphs
-    against a sequential uncached rebuild, and, every fixpoint round,
+    reuses them. [touched] supplies the coalescing scan's scratch set.
+    [cache] makes the scan incremental (see {!Edge_cache}). [verify]
+    cross-checks the cached graphs against an uncached rebuild, and,
+    every fixpoint round,
     an [Aggressive] round's interference-query answers against that
     rebuild's edges, a [Conservative] round graph's edges and degrees
     against that rebuild, and the refreshed liveness against a full
     solve, raising {!Divergence} on any difference. Results are
-    bit-identical with and without a pool, and with and without a
-    cache.
+    bit-identical with and without a cache.
 
     [tele] (default {!Ra_support.Telemetry.null}) receives the build's
     internal spans: {!Ra_support.Phase.Scan} around every edge scan,
-    interference query and round-graph update — emitted from inside the
-    pool workers, so a sharded scan traces as per-domain tracks —
+    interference query and round-graph update,
     {!Ra_support.Phase.Liveness} around solves and refreshes,
     {!Ra_support.Phase.Coalesce} around the copy-merge scan, and
     {!Ra_support.Phase.Verify} around the [verify] cross-checks. *)
@@ -221,8 +186,6 @@ val build :
   ?coalesce_mode:coalesce_mode ->
   ?live0:Liveness.t ->
   ?scratch:Igraph.t * Igraph.t ->
-  ?pool:Ra_support.Pool.t ->
-  ?par:par_scratch ->
   ?touched:Ra_support.Bitset.t ->
   ?cache:Edge_cache.t ->
   ?verify:bool ->

@@ -20,9 +20,7 @@ type t = {
   incremental : bool;
   verify : bool;
   tele : Telemetry.t;
-  pool : Pool.t option;
   acache : Analysis_cache.t;
-  par : Build.par_scratch;
   touched : Bitset.t;
   scratch_int : Igraph.t;
   scratch_flt : Igraph.t;
@@ -50,37 +48,13 @@ let edge_cache_default =
   | None | Some _ -> true
 
 let create ?(incremental = incremental_default) ?(verify = verify_default)
-    ?(edge_cache = edge_cache_default) ?tele ?jobs ?pool machine =
-  (* every context installs the dispatch-time footprint validator, so
-     any meta-carrying batch submitted through allocation is statically
-     checked for write-set disjointness (idempotent, one ref store) *)
-  Ra_check.Effects.install ();
+    ?(edge_cache = edge_cache_default) ?tele machine =
   let tele = match tele with Some t -> t | None -> Telemetry.ambient () in
-  let pool =
-    match pool with
-    | Some p -> if Pool.jobs p > 1 then Some p else None
-    | None ->
-      let j = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      if j > 1 then begin
-        (* the shared pool, so contexts never spawn domains of their own;
-           its width is fixed by RA_JOBS / the core count at first use *)
-        let g = Pool.global () in
-        if Pool.jobs g > 1 then Some g else None
-      end
-      else None
-  in
-  (* scheduling counters (pool.tasks, pool.queue_wait_us, ...) land in
-     this context's sink; with several sinks alive the last one wins *)
-  (match pool with
-   | Some p when Telemetry.enabled tele -> Pool.set_telemetry p tele
-   | Some _ | None -> ());
   { machine;
     incremental;
     verify;
     tele;
-    pool;
     acache = Analysis_cache.create ();
-    par = Build.par_scratch ();
     touched = Bitset.create 0;
     scratch_int = Igraph.create ~n_nodes:0 ~n_precolored:0;
     scratch_flt = Igraph.create ~n_nodes:0 ~n_precolored:0;
@@ -92,13 +66,12 @@ let create ?(incremental = incremental_default) ?(verify = verify_default)
 
 let sibling t =
   create ~incremental:t.incremental ~verify:t.verify
-    ~edge_cache:t.edge_cache_on ~tele:t.tele ~jobs:1 t.machine
+    ~edge_cache:t.edge_cache_on ~tele:t.tele t.machine
 
 let machine t = t.machine
 let telemetry t = t.tele
 let incremental_enabled t = t.incremental
 let analysis_cache t = t.acache
-let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
 let buckets t = t.buckets
 let stats t = t.stats
 let edge_cache_enabled t = t.edge_cache_on
@@ -190,8 +163,8 @@ let check_equal proc_name ~(cfg_i : Cfg.t) ~(built_i : Build.t)
 (* ---- pass construction ---- *)
 
 (* [reference] builds are the from-scratch side of a verify cross-check:
-   they run sequentially into fresh buffers so they share nothing with
-   the build under test. *)
+   they run into fresh buffers so they share nothing with the build
+   under test. *)
 let scratch_build ?(reference = false) t (proc : Proc.t) ~is_spill_vreg
     ~mode ~scratch =
   let cfg = Cfg.build proc.code in
@@ -207,8 +180,7 @@ let scratch_build ?(reference = false) t (proc : Proc.t) ~is_spill_vreg
       let cache = edge_cache_for t mode in
       Option.iter Build.Edge_cache.clear cache;
       Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ?scratch
-        ?pool:t.pool ~par:t.par ~touched:t.touched ?cache ~verify:t.verify
-        ~tele:t.tele ()
+        ~touched:t.touched ?cache ~verify:t.verify ~tele:t.tele ()
     end
   in
   cfg, webs, built
@@ -246,8 +218,8 @@ let incremental_build t (proc : Proc.t) prev (sp : Spill.result) ~mode =
     cache;
   let built =
     Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ~live0
-      ~scratch:(t.scratch_int, t.scratch_flt) ?pool:t.pool ~par:t.par
-      ~touched:t.touched ?cache ~verify:t.verify ~tele:t.tele ()
+      ~scratch:(t.scratch_int, t.scratch_flt) ~touched:t.touched ?cache
+      ~verify:t.verify ~tele:t.tele ()
   in
   cfg, webs, built
 
@@ -261,9 +233,9 @@ let build_pass t (proc : Proc.t) ~is_spill_vreg ~mode ~edit =
       t.stats.incremental_builds <- t.stats.incremental_builds + 1;
       if t.verify then
         Telemetry.span t.tele Phase.Verify (fun () ->
-          (* reference build into fresh buffers, sequentially; the
-             incremental result must be indistinguishable from it, down
-             to adjacency order *)
+          (* reference build into fresh buffers; the incremental result
+             must be indistinguishable from it, down to adjacency
+             order *)
           let cfg_s, _, built_s =
             scratch_build ~reference:true t proc ~is_spill_vreg ~mode
               ~scratch:None

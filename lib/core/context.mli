@@ -62,25 +62,18 @@ val verify_default : bool
     {!Ra_support.Telemetry.ambient} sink (so [RA_TRACE] / [--trace]
     work without threading anything).
 
-    [pool], when given, parallelizes the interference-graph block scan
-    (see {!Build.build}); a width-1 pool means sequential. Without it,
-    [jobs] decides: [1] forces sequential, [> 1] uses the shared
-    {!Ra_support.Pool.global} pool. The default is [Pool.default_jobs ()]
-    — i.e. [RA_JOBS] / the core count — so multi-core parallelism is on
-    by default and [RA_JOBS=1] is the escape hatch. Either way the
-    allocation results are engineered to be bit-identical to a
-    sequential build (cross-checked under [RA_VERIFY]). *)
+    A context is single-threaded: its builds run on the calling domain.
+    Parallelism comes from running several contexts at once, as the
+    task DAG of {!Batch.allocate_matrix} does. *)
 val create :
   ?incremental:bool ->
   ?verify:bool ->
   ?edge_cache:bool ->
   ?tele:Ra_support.Telemetry.t ->
-  ?jobs:int ->
-  ?pool:Ra_support.Pool.t ->
   Machine.t ->
   t
 
-(** [sibling t] is a fresh single-threaded context with [t]'s machine,
+(** [sibling t] is a fresh context with [t]'s machine,
     incrementality, verification, edge-cache setting and sink: for an
     allocation that runs beside one already using [t]. *)
 val sibling : t -> t
@@ -95,9 +88,6 @@ val edge_cache_enabled : t -> bool
 
 (** The cross-pass dominator/loop cache carried by this context. *)
 val analysis_cache : t -> Ra_analysis.Analysis_cache.t
-
-(** Effective build parallelism: the pool's width, or 1. *)
-val jobs : t -> int
 
 (** Reusable degree-bucket buffer for {!Heuristic.run}. *)
 val buckets : t -> Ra_support.Degree_buckets.t

@@ -31,14 +31,12 @@ let create ~n_nodes ~n_precolored =
   if n_precolored > n_nodes then invalid_arg "Igraph.create";
   let matrix = Bit_matrix.create n_nodes in
   Bit_matrix.set_quiet matrix true;
-  let uid = Footprint.fresh_uid () in
-  if !Race_log.on then Race_log.created uid;
   { matrix;
     adjacency = Array.make (max n_nodes 1) [];
     degrees = Array.make (max n_nodes 1) 0;
     n_precolored;
     edges = 0;
-    uid }
+    uid = Footprint.fresh_uid () }
 
 let reset t ~n_nodes ~n_precolored =
   if n_precolored > n_nodes then invalid_arg "Igraph.reset";
@@ -107,7 +105,6 @@ let iter_neighbors t n ~f =
 
 let n_edges t = t.edges
 
-let uid t = t.uid
 
 let check_coloring t ~colors =
   if Array.length colors <> n_nodes t then

@@ -41,12 +41,6 @@ val iter_neighbors : t -> int -> f:(int -> unit) -> unit
 (** Number of distinct edges. *)
 val n_edges : t -> int
 
-(** The graph's race-check identity: accesses are reported as
-    [Footprint.K_igraph_row (uid, row)] keys — one key per node covering
-    its matrix row, adjacency vector and degree counter together. A task
-    owning rows [lo..hi] declares [Footprint.Igraph_rows {id = uid g; lo;
-    hi}]. *)
-val uid : t -> int
 
 (** [check_coloring t ~colors] verifies that adjacent nodes have distinct
     colors wherever both are colored and that precolored nodes kept their

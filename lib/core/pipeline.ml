@@ -788,7 +788,7 @@ let run cfgn ~context machine heuristic (original : Proc.t) : outcome =
    "the build this pass used took this long", even though the fan-out
    ran it once. The build is context-free on purpose: the fan-out must
    not share any pipeline's scratch graphs. *)
-let build_shared cfgn machine ~tele ?pool ~mode (proc : Proc.t) =
+let build_shared cfgn machine ~tele ~mode (proc : Proc.t) =
   (* input lint once: byte-identical input for every pipeline of the
      fan-out, so one verdict serves them all *)
   if cfgn.verify then
@@ -804,7 +804,7 @@ let build_shared cfgn machine ~tele ?pool ~mode (proc : Proc.t) =
       let cfg = Cfg.build proc.Proc.code in
       let webs = Webs.build proc cfg ~is_spill_vreg:(fun _ -> false) in
       let built =
-        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool
+        Build.build machine proc cfg ~webs ~coalesce_mode:mode
           ~verify:cfgn.verify ~tele ()
       in
       cfg, webs, built)
@@ -831,8 +831,7 @@ let dag_submit sched ~label ~footprint : step =
  fun ~stage fn ->
   ignore (Scheduler.submit sched ~name:(stage ^ ":" ^ label) ~footprint fn)
 
-let submit_dag sched cfgn machine ~tele ?bpool ~pipelines (original : Proc.t)
-    =
+let submit_dag sched cfgn machine ~tele ~pipelines (original : Proc.t) =
   (* One aggressive build fans out to every classic pipeline. Irc
      pipelines cannot join the fan-out: they need a Conservative build
      (staged move worklists instead of fixpoint merging), and their
@@ -849,9 +848,7 @@ let submit_dag sched cfgn machine ~tele ?bpool ~pipelines (original : Proc.t)
            { Footprint.reads = [];
              writes = [ Footprint.State token; Footprint.Telemetry ] }
          (fun () ->
-           cell :=
-             Some
-               (build_shared cfgn machine ~tele ?pool:bpool ~mode original)));
+           cell := Some (build_shared cfgn machine ~tele ~mode original)));
     token, cell
   in
   let shared =

@@ -121,9 +121,7 @@ val run :
     depends on timing; the outcome does not.
 
     [tele] is the shared build task's sink; each pipeline reports into
-    its context's sink as usual. [bpool] (typically
-    {!Ra_support.Scheduler.pool}) shards the shared build's edge scan.
-    First-pass builds take no edge cache: a cache pays only across the
+    its context's sink as usual. First-pass builds take no edge cache: a cache pays only across the
     spill passes of one context, whose later passes read the pipeline
     context's own. *)
 val submit_dag :
@@ -131,7 +129,6 @@ val submit_dag :
   config ->
   Machine.t ->
   tele:Ra_support.Telemetry.t ->
-  ?bpool:Ra_support.Pool.t ->
   pipelines:(Heuristic.t * Context.t) list ->
   Ra_ir.Proc.t ->
   outcome option ref list

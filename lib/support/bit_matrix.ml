@@ -35,17 +35,14 @@ let bytes_for n = (triangle_size n + 7) / 8
 
 let create n =
   if n < 0 then invalid_arg "Bit_matrix.create";
-  let uid = Footprint.fresh_uid () in
-  if !Race_log.on then Race_log.created uid;
   { n;
     bits = Bytes.make (bytes_for n) '\000';
     row_touched = Bytes.make (max n 1) '\000';
     touched = [||];
     n_touched = 0;
-    uid;
+    uid = Footprint.fresh_uid ();
     quiet = false }
 
-let uid t = t.uid
 let set_quiet t q = t.quiet <- q
 
 let dimension t = t.n

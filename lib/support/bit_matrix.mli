@@ -9,9 +9,6 @@ type t
 (** [create n] is an empty symmetric relation over [0 .. n-1]. *)
 val create : int -> t
 
-(** The matrix's process-unique object id (see {!Footprint.fresh_uid}). *)
-val uid : t -> int
-
 (** [set_quiet t true] silences the race-check hooks on [t] — for owners
     that report accesses at their own, coarser granularity ([Igraph]
     logs whole igraph rows covering both its matrix and adjacency). *)

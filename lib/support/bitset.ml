@@ -1,7 +1,6 @@
 type t = {
   mutable n : int;
   mutable words : int array; (* 63-bit words; OCaml ints *)
-  uid : int;
   mutable key : Footprint.key;
     (* what the race-check hooks log accesses as: the set's own identity
        by default, overridden by an owner that wants coarser granularity
@@ -22,11 +21,10 @@ let[@inline always] log_write t = if !Race_log.on then log_write_on t
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create";
-  let uid = Footprint.fresh_uid () in
-  if !Race_log.on then Race_log.created uid;
-  { n; words = Array.make (words_for n) 0; uid; key = Footprint.K_bitset uid }
+  { n;
+    words = Array.make (words_for n) 0;
+    key = Footprint.K_bitset (Footprint.fresh_uid ()) }
 
-let uid t = t.uid
 let set_key t key = t.key <- key
 
 let capacity t = t.n
@@ -66,9 +64,9 @@ let mem t i =
 
 let copy t =
   log_read t;
-  let uid = Footprint.fresh_uid () in
-  if !Race_log.on then Race_log.created uid;
-  { n = t.n; words = Array.copy t.words; uid; key = Footprint.K_bitset uid }
+  { n = t.n;
+    words = Array.copy t.words;
+    key = Footprint.K_bitset (Footprint.fresh_uid ()) }
 
 let same_universe a b =
   if a.n <> b.n then invalid_arg "Bitset: universe mismatch"

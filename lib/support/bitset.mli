@@ -6,11 +6,8 @@ type t
 
 val create : int -> t
 
-(** The set's process-unique object id (see {!Footprint.fresh_uid}). *)
-val uid : t -> int
-
 (** [set_key t k] makes the race-check hooks report accesses to [t]
-    under [k] instead of [K_bitset (uid t)] — owners with coarser
+    under [k] instead of the set's own [K_bitset] key — owners with coarser
     logical granularity (a liveness solution) tag their sets with one
     shared key. *)
 val set_key : t -> Footprint.key -> unit

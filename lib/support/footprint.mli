@@ -1,30 +1,20 @@
-(** Declared effect footprints for pool tasks.
+(** Declared effect footprints for DAG tasks, and the access keys of the
+    race-check hooks.
 
-    A footprint is a pair of read/write sets over a closed variant of the
-    allocator's shared resources: whole bitsets, [Bit_matrix] /
-    [Igraph] row ranges, [Edge_cache] block ranges, a whole liveness
-    solution, the telemetry sink. Tasks submitted to {!Pool.run} declare
-    one; the static checker ({!Ra_check.Effects}) rejects batches whose
-    write sets overlap another task's read∪write set, and the dynamic
-    race detector ({!Ra_check.Race}) verifies observed accesses stay
-    inside the declaration. The same footprints are the dependency edges
-    a task-DAG scheduler needs, which is why they live here and not in
-    the checker. *)
+    A footprint is a pair of read/write sets over serialization tokens.
+    {!Scheduler.submit} derives a task's dependency edges from it: two
+    tasks conflict when either writes a token the other touches, and
+    conflicting tasks run in submission order. The dynamic race detector
+    ({!Ra_check.Race}) then checks that those edges order every shared
+    access the hooks observed. *)
 
-(** A declared region: a whole object or a contiguous range of one.
-    Objects are named by process-unique ids from {!fresh_uid}. *)
 type resource =
-  | Bitset of int
-  | Bit_matrix_rows of { id : int; lo : int; hi : int }
-  | Igraph_rows of { id : int; lo : int; hi : int }
-  | Edge_cache_blocks of { id : int; lo : int; hi : int }
-  | Liveness of int
   | State of int
     (** an abstract serialization token from {!fresh_uid}: tasks sharing
-        mutable state the hook vocabulary cannot name declare a write on
-        one [State] id and the DAG scheduler serializes them. No access
-        hook ever observes it, so it never fails conformance. *)
+        mutable state declare a write on one [State] id and the DAG
+        scheduler serializes them. *)
   | Telemetry
+    (** the process sink; mutex-protected, so never a conflict *)
 
 (** An observed access point, as the instrumentation hooks record it.
     Row [-1] means "the whole object" (a resize or bulk reset). *)
@@ -41,23 +31,13 @@ type t = {
   writes : resource list;
 }
 
-val empty : t
-
-(** A fresh process-unique object id. The namespace is shared by every
-    hooked structure kind. *)
+(** A fresh process-unique id: for tokens and for the hooked objects'
+    keys. The namespace is shared by every kind. *)
 val fresh_uid : unit -> int
 
-val uid_of_key : key -> int option
-
-(** Mutex-protected resources (the telemetry sink) never conflict. *)
-val synchronized : resource -> bool
-
+(** Do two declared resources name the same token? [Telemetry] is
+    mutex-protected, so it overlaps nothing. *)
 val overlap : resource -> resource -> bool
-
-(** Does declared region [r] contain observed access [k]? *)
-val covers : resource -> key -> bool
-
-val covered_by : resource list -> key -> bool
 
 (** [conflict a b] is the first (write of [a], read∪write of [b])
     overlapping pair, if any. Not symmetric: check both orders. *)
@@ -67,5 +47,4 @@ val conflict : t -> t -> (resource * resource) option
     symmetric test the DAG scheduler derives dependency edges from. *)
 val conflicts : t -> t -> bool
 
-val resource_to_string : resource -> string
 val key_to_string : key -> string

@@ -16,19 +16,10 @@
    LIFO so workers that do pick up extra work prefer the innermost
    (most-blocking) batch.
 
-   Tasks may carry a {!task_meta}: a name and a declared effect
-   footprint. Footprints feed two checkers — a static disjointness
-   validator invoked at dispatch time (installed process-wide by
-   [Ra_check.Effects], a no-op until then) and the dynamic race detector
-   ([Ra_check.Race]), for which the pool logs its queue push/pop and
-   barrier transitions into [Race_log] as the happens-before
-   synchronization edges. Both are off by default and cost one load per
-   batch / per task when off. *)
-
-type task_meta = {
-  tm_name : string;
-  tm_footprint : Footprint.t;
-}
+   For the dynamic race detector ([Ra_check.Race]) the pool logs its
+   queue push/pop and barrier transitions into [Race_log] as the
+   happens-before synchronization edges. Off by default, that costs one
+   load per batch. *)
 
 type batch = {
   run_task : int -> unit;
@@ -51,22 +42,15 @@ type t = {
   mutable tele : Telemetry.t;
   (* [Some run]: a façade over the work-stealing DAG scheduler — batches
      are executed by [run ~n f] on the scheduler's domains instead of
-     this pool's queue (it owns no domains of its own). The validator,
-     race-log batch events and scheduling counters stay identical, so
-     [Build]'s sharded scans run unchanged on either backend. *)
+     this pool's queue (it owns no domains of its own). The race-log
+     batch events and scheduling counters stay identical, so a batch
+     client runs unchanged on either backend. *)
   sched_run : (n:int -> (int -> unit) -> unit) option;
 }
 
 let jobs t = t.jobs
 
 let set_telemetry t tele = t.tele <- tele
-
-(* The dispatch-time footprint validator. Process-wide and off (a no-op)
-   until [Ra_check.Effects.install] replaces it — the pool cannot depend
-   on the checker layer, so the checker reaches down instead. *)
-let validator : (task_meta array -> unit) ref = ref (fun _ -> ())
-
-let set_validator f = validator := f
 
 (* Run one iteration of [b] outside the lock; the lock is held on entry
    and on exit. *)
@@ -151,121 +135,85 @@ let run_inline ~n f =
     f i
   done
 
-let run t ?meta ~n f =
-  if n <= 0 then ()
+let run t ~n f =
+  if t.jobs = 1 || n <= 1 then run_inline ~n f
   else begin
-    (* static footprint check at dispatch time, even for batches the
-       width-1 fast path will run inline: a declaration inconsistent at
-       jobs=1 is inconsistent at jobs=8, and catching it in sequential
-       tests is the point of declaring at all *)
-    (match meta with
-     | Some m when n > 1 -> !validator (Array.init n m)
-     | Some _ | None -> ());
-    if t.jobs = 1 || n = 1 then run_inline ~n f
-    else begin
-      let race_batch =
-        if !Race_log.on then
-          let tasks =
-            match meta with
-            | Some m ->
-              Array.init n (fun i ->
-                let tm = m i in
-                { Race_log.t_name = tm.tm_name;
-                  t_footprint = Some tm.tm_footprint })
-            | None ->
-              Array.init n (fun i ->
-                { Race_log.t_name = "task-" ^ string_of_int i;
-                  t_footprint = None })
-          in
-          Race_log.batch_submit ~tasks
-        else -1
+    let race_batch = if !Race_log.on then Race_log.batch_submit () else -1 in
+    match t.sched_run with
+    | Some srun ->
+      (* the scheduler façade: per-task bookkeeping identical to
+         [step], execution delegated to the scheduler's domains *)
+      if t.closed then invalid_arg "Pool.run: pool is shut down";
+      let submitted_at =
+        if Telemetry.enabled t.tele then Unix.gettimeofday () else 0.
       in
-      match t.sched_run with
-      | Some srun ->
-        (* the scheduler façade: per-task bookkeeping identical to
-           [step], execution delegated to the scheduler's domains *)
-        if t.closed then invalid_arg "Pool.run: pool is shut down";
-        let submitted_at =
-          if Telemetry.enabled t.tele then Unix.gettimeofday () else 0.
-        in
-        let f' i =
-          (let tele = t.tele in
-           if Telemetry.enabled tele then begin
-             if submitted_at > 0. then
-               Telemetry.counter tele "pool.queue_wait_us"
-                 (int_of_float
-                    ((Unix.gettimeofday () -. submitted_at) *. 1e6));
-             Telemetry.counter tele "pool.tasks" 1;
-             Telemetry.counter tele
-               ("pool.tasks.d" ^ string_of_int (Domain.self () :> int))
-               1
-           end);
-          if race_batch >= 0 then
-            Race_log.task_start ~batch:race_batch ~index:i;
-          let outcome =
-            match f i with
-            | () -> None
-            | exception e -> Some (e, Printexc.get_raw_backtrace ())
-          in
-          if race_batch >= 0 then
-            Race_log.task_end ~batch:race_batch ~index:i;
-          match outcome with
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> ()
-        in
-        let result =
-          match srun ~n f' with
+      let f' i =
+        (let tele = t.tele in
+         if Telemetry.enabled tele then begin
+           if submitted_at > 0. then
+             Telemetry.counter tele "pool.queue_wait_us"
+               (int_of_float
+                  ((Unix.gettimeofday () -. submitted_at) *. 1e6));
+           Telemetry.counter tele "pool.tasks" 1;
+           Telemetry.counter tele
+             ("pool.tasks.d" ^ string_of_int (Domain.self () :> int))
+             1
+         end);
+        if race_batch >= 0 then
+          Race_log.task_start ~batch:race_batch ~index:i;
+        let outcome =
+          match f i with
           | () -> None
           | exception e -> Some (e, Printexc.get_raw_backtrace ())
         in
-        (* the join event is appended after every task's end either way *)
-        if race_batch >= 0 then Race_log.batch_join ~batch:race_batch;
-        (match result with
-         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-         | None -> ())
-      | None ->
-      let b =
-        { run_task = f;
-          n;
-          next = 0;
-          active = 0;
-          failed = None;
-          finished = Condition.create ();
-          race_batch;
-          submitted_at =
-            (if Telemetry.enabled t.tele then Unix.gettimeofday () else 0.) }
+        if race_batch >= 0 then
+          Race_log.task_end ~batch:race_batch ~index:i;
+        match outcome with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ()
       in
-      Mutex.lock t.mutex;
-      if t.closed then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Pool.run: pool is shut down"
-      end;
-      t.queue <- b :: t.queue;
-      Condition.broadcast t.wake;
-      (* help drain our own batch *)
-      while b.next < b.n do
-        step t b
-      done;
-      while b.active > 0 do
-        Condition.wait b.finished t.mutex
-      done;
-      Mutex.unlock t.mutex;
+      let result =
+        match srun ~n f' with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
+      (* the join event is appended after every task's end either way *)
       if race_batch >= 0 then Race_log.batch_join ~batch:race_batch;
-      match b.failed with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
-  end
-
-let map_list t ?meta f xs =
-  let arr = Array.of_list xs in
-  let meta =
-    match meta with None -> None | Some g -> Some (fun i -> g arr.(i))
-  in
-  let out = Array.make (Array.length arr) None in
-  run t ?meta ~n:(Array.length arr) (fun i -> out.(i) <- Some (f arr.(i)));
-  Array.to_list
-    (Array.map (function Some y -> y | None -> assert false) out)
+      (match result with
+       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+       | None -> ())
+    | None ->
+    let b =
+      { run_task = f;
+        n;
+        next = 0;
+        active = 0;
+        failed = None;
+        finished = Condition.create ();
+        race_batch;
+        submitted_at =
+          (if Telemetry.enabled t.tele then Unix.gettimeofday () else 0.) }
+    in
+    Mutex.lock t.mutex;
+    if t.closed then begin
+      Mutex.unlock t.mutex;
+      invalid_arg "Pool.run: pool is shut down"
+    end;
+    t.queue <- b :: t.queue;
+    Condition.broadcast t.wake;
+    (* help drain our own batch *)
+    while b.next < b.n do
+      step t b
+    done;
+    while b.active > 0 do
+      Condition.wait b.finished t.mutex
+    done;
+    Mutex.unlock t.mutex;
+    if race_batch >= 0 then Race_log.batch_join ~batch:race_batch;
+    match b.failed with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+end
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -11,23 +11,11 @@
     Determinism is the client's problem by construction: tasks must write
     to disjoint (per-index) state, and any order-sensitive combination of
     their results must happen after {!run} returns, in index order. The
-    interference-graph builder stages per-worker edge buffers and replays
-    them in block order for exactly this reason. Batches can make that
-    contract *checkable* by declaring per-task effect {!task_meta}s: a
-    statically validated footprint at dispatch time, and the evidence the
-    [RA_RACE_CHECK] dynamic detector holds observed accesses against. *)
+    [RA_RACE_CHECK] dynamic detector checks the disjointness: the pool
+    logs each batch's submit, task start/end and join as its
+    happens-before edges. *)
 
 type t
-
-(** A task's declared identity and effects. [tm_name] names the task in
-    conflict diagnostics; [tm_footprint] is checked at dispatch time by
-    the installed {!set_validator} (write sets must be disjoint from
-    every other task's read∪write set) and at analysis time against the
-    accesses the task actually performed. *)
-type task_meta = {
-  tm_name : string;
-  tm_footprint : Footprint.t;
-}
 
 (** [create ~jobs] spawns [jobs - 1] worker domains ([jobs >= 1]).
     A pool with [jobs = 1] runs every batch inline in the caller. *)
@@ -36,12 +24,11 @@ val create : jobs:int -> t
 (** [of_scheduler ~jobs run] is a pool façade over a work-stealing DAG
     scheduler: it owns no domains, and every batch with [n > 1] is
     executed by [run ~n f] (the scheduler's blocking batch primitive,
-    see {!Scheduler.batch_run}) on the scheduler's domains. The
-    footprint validator, [Race_log] batch events, scheduling counters
-    and exception propagation behave exactly as on a [create]d pool, so
-    the interference-graph builder's sharded scans run unchanged —
-    their shard tasks interleave with the scheduler's DAG tasks instead
-    of queueing on a second domain set. *)
+    see {!Scheduler.batch_run}) on the scheduler's domains. [Race_log]
+    batch events, scheduling counters and exception propagation behave
+    exactly as on a [create]d pool, so a batch client runs unchanged —
+    its tasks interleave with the scheduler's DAG tasks instead of
+    queueing on a second domain set. *)
 val of_scheduler : jobs:int -> (n:int -> (int -> unit) -> unit) -> t
 
 (** The parallelism width the pool was created with. *)
@@ -51,17 +38,8 @@ val jobs : t -> int
     concurrently, and returns when all have finished. If any task raises,
     the remaining unstarted iterations are abandoned and the first
     exception (by completion order) is re-raised in the caller with its
-    backtrace. Re-entrant: [f] may call [run] on the same pool.
-
-    [meta], when given, maps each index to its {!task_meta}; batches with
-    [n > 1] are passed through the installed footprint validator before
-    any task starts, and the metas are recorded with the [Race_log]
-    submit event when the race check is on. *)
-val run : t -> ?meta:(int -> task_meta) -> n:int -> (int -> unit) -> unit
-
-(** [map_list t f xs] = [List.map f xs] with the applications distributed
-    over the pool; the result keeps list order. [meta] as in {!run}. *)
-val map_list : t -> ?meta:('a -> task_meta) -> ('a -> 'b) -> 'a list -> 'b list
+    backtrace. Re-entrant: [f] may call [run] on the same pool. *)
+val run : t -> n:int -> (int -> unit) -> unit
 
 (** Joins the workers. Further {!run}s raise [Invalid_argument]; idempotent.
     Optional — an exiting process abandons blocked workers safely. *)
@@ -74,12 +52,6 @@ val shutdown : t -> unit
     scheduling diagnosis and race checking share one instrumentation
     seam. Pass {!Telemetry.null} to detach. *)
 val set_telemetry : t -> Telemetry.t -> unit
-
-(** [set_validator f] installs the process-wide dispatch-time footprint
-    checker: [f metas] is called before any task of a meta-carrying
-    batch starts and should raise to reject the batch. Installed by
-    [Ra_check.Effects.install]; the default is a no-op. *)
-val set_validator : (task_meta array -> unit) -> unit
 
 (** Parallelism width requested by the environment: [RA_JOBS] when set to
     a positive integer, else [Domain.recommended_domain_count ()], clamped

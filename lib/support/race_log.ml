@@ -30,13 +30,8 @@
    the join is appended only after every task's end. The analyzer may
    therefore fold the list left to right. *)
 
-type task_info = {
-  t_name : string;
-  t_footprint : Footprint.t option; (* None: unchecked (no declaration) *)
-}
-
 type event =
-  | Batch_submit of { batch : int; submitter : int; tasks : task_info array }
+  | Batch_submit of { batch : int; submitter : int }
   | Task_start of { batch : int; index : int; thread : int }
   | Task_end of { batch : int; index : int; thread : int }
   | Batch_join of { batch : int; submitter : int }
@@ -45,7 +40,6 @@ type event =
   | Node_start of { node : int; thread : int }
   | Node_end of { node : int; thread : int }
   | Graph_join of { submitter : int; nodes : int list }
-  | Created of { thread : int; uid : int }
   | Access of { thread : int; key : Footprint.key; write : bool }
 
 (* Read directly (unsynchronized) by every hook; written only while the
@@ -140,10 +134,6 @@ let write key =
     Hashtbl.replace f.dedup key true;
     append (Access { thread = f.f_thread; key; write = true })
 
-let created uid =
-  let f = current () in
-  append (Created { thread = f.f_thread; uid })
-
 (* ---- synchronization events (called by Pool) ---- *)
 
 (* The caller's clock ticks at its own submits and joins, so the
@@ -152,14 +142,14 @@ let sync_point f =
   refresh f;
   Hashtbl.reset f.dedup
 
-let batch_submit ~tasks =
+let batch_submit () =
   let f = current () in
   sync_point f;
   Mutex.lock mutex;
   let id = !next_batch in
   next_batch := id + 1;
   rev_events :=
-    Batch_submit { batch = id; submitter = f.f_thread; tasks } :: !rev_events;
+    Batch_submit { batch = id; submitter = f.f_thread } :: !rev_events;
   Mutex.unlock mutex;
   id
 

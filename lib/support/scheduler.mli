@@ -71,8 +71,8 @@ val submit :
 val batch_run : t -> n:int -> (int -> unit) -> unit
 
 (** A {!Pool} façade over this scheduler ({!Pool.of_scheduler}): batch
-    clients — the interference-graph builder's sharded scans — run on
-    the scheduler's domains, interleaved with its DAG tasks. *)
+    clients run on the scheduler's domains, interleaved with its DAG
+    tasks. *)
 val pool : t -> Pool.t
 
 (** Attach a telemetry sink: submissions bump [sched.tasks] and

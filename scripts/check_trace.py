@@ -18,8 +18,8 @@ Checks, in order:
      (simplification and coalescing interleave in one loop), so either
      name satisfies that slot (spill phases appear only when something
      spills, in either shape);
-  4. when more than one domain participated, at least one pooled `scan`
-     or stolen `task` span is tagged with a non-main tid;
+  4. when more than one domain participated, at least one `scan` or
+     stolen `task` span is tagged with a non-main tid;
   5. every counter named by a --require-counter flag has at least one
      sample and a positive final total — the way a CI job asserts "this
      code path actually ran" rather than merely "the trace looked
@@ -116,7 +116,7 @@ def main(path, require_counters=()):
         ]
         if not offloaded:
             fail(
-                f"{len(tids)} domains emitted spans but no pooled 'scan' or "
+                f"{len(tids)} domains emitted spans but no 'scan' or "
                 "stolen 'task' span carries a worker tid"
             )
 

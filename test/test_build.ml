@@ -171,12 +171,7 @@ let node_web_round_trip () =
         (Ra_support.Union_find.find built.Build.alias w.Webs.w_id = back))
     (Webs.webs webs)
 
-(* ---- parallel build == sequential build, structurally ---- *)
-
-(* Shared across qcheck trials, so pools are not created per trial;
-   shut down after the last test of [suites]. *)
-let pools =
-  List.map (fun jobs -> lazy (Ra_support.Pool.create ~jobs)) [ 2; 4; 8 ]
+(* ---- structural equality of builds ---- *)
 
 let same_graph (a : Igraph.t) (b : Igraph.t) =
   Igraph.n_nodes a = Igraph.n_nodes b
@@ -193,116 +188,6 @@ let same_build (x : Build.t) (y : Build.t) =
   && x.Build.web_of_node_int = y.Build.web_of_node_int
   && x.Build.web_of_node_flt = y.Build.web_of_node_flt
   && x.Build.moves_coalesced = y.Build.moves_coalesced
-
-let same_outcome g_seq g_par h ~k =
-  let costs g = Array.make (Igraph.n_nodes g) 1.0 in
-  Heuristic.run h g_seq ~k ~costs:(costs g_seq)
-  = Heuristic.run h g_par ~k ~costs:(costs g_par)
-
-let prop_parallel_build_identical =
-  (* The tentpole property: sharding the block scan over worker domains
-     and replaying the staged edges must reproduce the sequential graph
-     bit for bit — same edges, same adjacency insertion order (which
-     simplify/select are sensitive to), same node numbering, same
-     coalescing — and therefore identical coloring/spill decisions for
-     every heuristic, with and without coalescing, at any pool width. *)
-  QCheck.Test.make
-    ~name:
-      "parallel graph build is structurally identical to sequential \
-       (jobs 2/4/8, with/without coalescing, all heuristics agree)"
-    ~count:12
-    QCheck.(pair (int_bound 1000000) (int_range 5 30))
-    (fun (seed, size) ->
-      let src = Progen.generate ~seed ~size in
-      let procs = Codegen.compile_source src in
-      List.for_all
-        (fun (p : Proc.t) ->
-          let cfg = Cfg.build p.Proc.code in
-          let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
-          List.for_all
-            (fun coalesce ->
-              let seq = Build.build Machine.rt_pc p cfg ~webs ~coalesce () in
-              List.for_all
-                (fun pool ->
-                  let par =
-                    Build.build Machine.rt_pc p cfg ~webs ~coalesce ~pool
-                      ~par:(Build.par_scratch ())
-                      ~touched:(Ra_support.Bitset.create 0)
-                      ~verify:true ()
-                  in
-                  same_build seq par
-                  && List.for_all
-                       (fun h ->
-                         same_outcome seq.Build.int_graph par.Build.int_graph
-                           h
-                           ~k:(Machine.regs Machine.rt_pc Reg.Int_reg)
-                         && same_outcome seq.Build.flt_graph
-                              par.Build.flt_graph h
-                              ~k:(Machine.regs Machine.rt_pc Reg.Flt_reg))
-                       [ Heuristic.Chaitin; Heuristic.Briggs;
-                         Heuristic.Matula ])
-                (List.map Lazy.force pools))
-            [ true; false ])
-        procs)
-
-(* ---- block chunking ---- *)
-
-let chunk_starts_clamped_to_blocks () =
-  (* a 1-block CFG handed to a wide pool must degrade to one chunk, not
-     produce empty chunks or out-of-range starts (compiled procedures
-     always end in a separate return block, so build the straight-line
-     procedure by hand) *)
-  let a = Reg.int 0 and b = Reg.int 1 in
-  let p = Proc.create ~name:"f" ~args:[ a; b ] ~ret_cls:(Some Reg.Int_reg) in
-  let t = Proc.fresh_reg p Reg.Int_reg in
-  p.Proc.code <-
-    [| { Proc.ins = Instr.Binop (Instr.Imul, t, a, b); depth = 0 };
-       { Proc.ins = Instr.Binop (Instr.Iadd, t, t, a); depth = 0 };
-       { Proc.ins = Instr.Ret (Some t); depth = 0 } |];
-  let cfg = Cfg.build p.Proc.code in
-  Alcotest.(check int) "single-block program" 1 (Cfg.n_blocks cfg);
-  let starts = Build.chunk_starts cfg ~n_chunks:8 in
-  Alcotest.(check (array int)) "one chunk" [| 0; 1 |] starts;
-  (* and the parallel build over that degenerate chunking still matches
-     the sequential one *)
-  let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
-  let seq = Build.build Machine.rt_pc p cfg ~webs () in
-  let par =
-    Build.build Machine.rt_pc p cfg ~webs
-      ~pool:(Lazy.force (List.nth pools 2))
-      ~par:(Build.par_scratch ())
-      ~touched:(Ra_support.Bitset.create 0)
-      ~verify:true ()
-  in
-  Alcotest.(check bool) "parallel matches sequential" true (same_build seq par)
-
-let chunk_starts_cover_every_block () =
-  let src =
-    {| proc f(n: int) : int {
-         var s: int; var i: int;
-         s = 0;
-         for i = 1 to n {
-           if (s > i) { s = s + i; } else { s = s - i; }
-         }
-         return s;
-       } |}
-  in
-  let p = List.hd (Codegen.compile_source src) in
-  let cfg = Cfg.build p.Proc.code in
-  let n = Cfg.n_blocks cfg in
-  List.iter
-    (fun n_chunks ->
-      let starts = Build.chunk_starts cfg ~n_chunks in
-      let chunks = Array.length starts - 1 in
-      Alcotest.(check int)
-        (Printf.sprintf "clamped (%d requested)" n_chunks)
-        (min n_chunks n) chunks;
-      Alcotest.(check int) "starts at 0" 0 starts.(0);
-      Alcotest.(check int) "ends at n_blocks" n starts.(chunks);
-      for c = 0 to chunks - 1 do
-        Alcotest.(check bool) "chunk non-empty" true (starts.(c) < starts.(c + 1))
-      done)
-    [ 1; 2; 3; n; n + 5; 64 ]
 
 (* ---- edge cache ---- *)
 
@@ -436,28 +321,17 @@ let flipped_query_trips_verify () =
       | _ -> Alcotest.fail "verified build accepted a flipped query answer"
       | exception Build.Divergence _ -> ())
 
-(* every aggressive round of every routine, with and without a pool:
-   the verified build compares each candidate move's query answer —
-   carried from the previous round or asked again — with the reference
-   graph's edge, and the final graph with the sequential one. Returns
-   the most coalescing rounds one build ran. *)
+(* every aggressive round of every routine: the verified build
+   compares each candidate move's query answer — carried from the
+   previous round or asked again — with the reference graph's edge.
+   Returns the most coalescing rounds one build ran. *)
 let query_matches_graph (procs : Proc.t list) =
   List.fold_left
     (fun most (p : Proc.t) ->
       let cfg = Cfg.build p.Proc.code in
       let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
-      let seq = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
-      let par =
-        Build.build Machine.rt_pc p cfg ~webs
-          ~pool:(Lazy.force (List.nth pools 1))
-          ~par:(Build.par_scratch ())
-          ~touched:(Ra_support.Bitset.create 0)
-          ~verify:true ()
-      in
-      Alcotest.(check bool)
-        (p.Proc.name ^ ": pooled build matches")
-        true (same_build seq par);
-      max most seq.Build.rounds)
+      let built = Build.build Machine.rt_pc p cfg ~webs ~verify:true () in
+      max most built.Build.rounds)
     0 procs
 
 let query_matches_graph_on_suite () =
@@ -783,8 +657,6 @@ let flipped_round_edge_trips_verify () =
       | exception Build.Divergence _ -> ())
 
 let suites =
-  Test_pool.shutdown_after pools
-  @@
   [ ( "build.interference",
       [ Alcotest.test_case "overlapping vars interfere" `Quick
           overlapping_vars_interfere;
@@ -798,12 +670,6 @@ let suites =
         Alcotest.test_case "refuses interfering" `Quick
           coalesce_refuses_interfering;
         Alcotest.test_case "node/web round trip" `Quick node_web_round_trip ] );
-    ( "build.parallel",
-      [ Alcotest.test_case "chunk_starts clamps to block count" `Quick
-          chunk_starts_clamped_to_blocks;
-        Alcotest.test_case "chunk_starts covers every block" `Quick
-          chunk_starts_cover_every_block;
-        QCheck_alcotest.to_alcotest prop_parallel_build_identical ] );
     ( "build.edge_cache",
       [ Alcotest.test_case "cached rebuild replays all blocks" `Quick
           cached_rebuild_replays_all_blocks;

@@ -185,55 +185,6 @@ let prop_incremental_equals_scratch =
             [ true; false ])
         heuristics)
 
-(* Shared across qcheck trials — per-trial pools would exhaust the
-   domain limit — and shut down after the last test of [suites]. *)
-let pools =
-  List.map (fun jobs -> lazy (Ra_support.Pool.create ~jobs)) [ 2; 4; 8 ]
-
-let pool4 = List.nth pools 1
-
-let prop_parallel_equals_sequential =
-  (* Pool-backed contexts must be a pure performance knob: allocation
-     through a context whose graph builds run on a domain pool (and
-     whose spill passes therefore replay staged parallel edges) is
-     observably identical to a jobs=1 context, for every heuristic and
-     pool width, with and without coalescing. *)
-  QCheck.Test.make
-    ~name:
-      "pool-backed context reproduces sequential allocation exactly \
-       (all heuristics, jobs 2/4/8, with/without coalescing)"
-    ~count:8
-    QCheck.(triple (int_bound 1000000) (int_range 5 30) (int_range 3 10))
-    (fun (seed, size, k) ->
-      let k = max 3 k and size = max 1 size in
-      let src = Progen.generate ~seed ~size in
-      let procs = compile src in
-      let machine = machine_k ~flt:4 k in
-      List.for_all
-        (fun h ->
-          let max_passes = if h = Heuristic.Matula then 6 else 32 in
-          let seq_ctx = Context.create ~jobs:1 machine in
-          List.for_all
-            (fun pool ->
-              let par_ctx = Context.create ~pool machine in
-              List.for_all
-                (fun coalesce ->
-                  List.for_all
-                    (fun p ->
-                      let alloc ctx =
-                        match
-                          Allocator.allocate ~coalesce ~max_passes
-                            ~context:ctx machine h p
-                        with
-                        | r -> Some (fingerprint r)
-                        | exception Allocator.Allocation_failure _ -> None
-                      in
-                      alloc seq_ctx = alloc par_ctx)
-                    procs)
-                [ true; false ])
-            (List.map Lazy.force pools))
-        heuristics)
-
 let edge_cache_reused_across_passes () =
   (* a multi-pass spilling allocation through a cache-backed context must
      replay clean blocks from the cache on every pass after the first —
@@ -272,8 +223,8 @@ let edge_cache_reused_across_passes () =
 let prop_edge_cache_equals_scratch =
   (* The tentpole property: for random programs — hence random
      coalescing-round and spill-pass sequences — allocation through a
-     cache-backed context (sequential and pool-backed) is
-     indistinguishable from a from-scratch context, for every heuristic,
+     cache-backed context is indistinguishable from a from-scratch
+     context, for every heuristic,
      with and without coalescing. Small k forces the multi-pass spilling
      that exercises the cross-pass remap; [verify] additionally
      cross-checks every cached round in-flight against a reference
@@ -282,7 +233,7 @@ let prop_edge_cache_equals_scratch =
   QCheck.Test.make
     ~name:
       "edge-cache-backed context reproduces from-scratch allocation \
-       exactly (all heuristics, jobs 1/4, with/without coalescing)"
+       exactly (all heuristics, with/without coalescing)"
     ~count:12
     QCheck.(triple (int_bound 1000000) (int_range 5 30) (int_range 3 10))
     (fun (seed, size, k) ->
@@ -300,10 +251,6 @@ let prop_edge_cache_equals_scratch =
             Context.create ~incremental:true ~edge_cache:true ~verify:true
               machine
           in
-          let par_ctx =
-            Context.create ~incremental:true ~edge_cache:true ~verify:true
-              ~pool:(Lazy.force pool4) machine
-          in
           List.for_all
             (fun coalesce ->
               List.for_all
@@ -316,15 +263,12 @@ let prop_edge_cache_equals_scratch =
                     | r -> Some (fingerprint r)
                     | exception Allocator.Allocation_failure _ -> None
                   in
-                  let reference = alloc scr_ctx in
-                  alloc cac_ctx = reference && alloc par_ctx = reference)
+                  alloc cac_ctx = alloc scr_ctx)
                 procs)
             [ true; false ])
         heuristics)
 
 let suites =
-  Test_pool.shutdown_after pools
-  @@
   [ ( "core.context",
       [ Alcotest.test_case "incremental equals scratch" `Quick
           incremental_equals_scratch;
@@ -337,5 +281,4 @@ let suites =
         Alcotest.test_case "edge cache reused across passes" `Quick
           edge_cache_reused_across_passes;
         qtest prop_incremental_equals_scratch;
-        qtest prop_parallel_equals_sequential;
         qtest prop_edge_cache_equals_scratch ] ) ]

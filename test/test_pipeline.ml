@@ -203,19 +203,15 @@ let fingerprint (r : Allocator.result) =
     r.Allocator.moves_removed,
     Proc.to_string r.Allocator.proc )
 
-(* Shared across qcheck trials; shut down after the last test of
-   [suites]. *)
-let pool = lazy (Ra_support.Pool.create ~jobs:4)
-
 let prop_pipeline_mode_invariant =
-  (* The refactored pipeline over every execution mode — sequential,
-     pooled builds, edge cache off, incrementality off — produces one
+  (* The refactored pipeline over every execution mode — the default,
+     edge cache off, incrementality off — produces one
      observable allocation per (program, heuristic, coalesce): same
      pass counters, totals, and rewritten code, or the same failure. *)
   QCheck.Test.make
     ~name:
-      "pipeline is mode-invariant (jobs 1/4 x edge cache x incremental, \
-       all heuristics, with/without coalescing)"
+      "pipeline is mode-invariant (edge cache x incremental, all \
+       heuristics, with/without coalescing)"
     ~count:10
     QCheck.(triple (int_bound 1000000) (int_range 5 30) (int_range 3 10))
     (fun (seed, size, k) ->
@@ -227,10 +223,9 @@ let prop_pipeline_mode_invariant =
         (fun h ->
           let max_passes = if h = Heuristic.Matula then 6 else 32 in
           let contexts =
-            [ Context.create ~jobs:1 machine;
-              Context.create ~pool:(Lazy.force pool) machine;
-              Context.create ~jobs:1 ~edge_cache:false machine;
-              Context.create ~jobs:1 ~incremental:false machine ]
+            [ Context.create machine;
+              Context.create ~edge_cache:false machine;
+              Context.create ~incremental:false machine ]
           in
           List.for_all
             (fun coalesce ->
@@ -278,7 +273,7 @@ let prop_irc_conservative_never_spills_more =
           let alloc coalesce =
             match
               Allocator.allocate ~coalesce ~verify:true
-                ~context:(Context.create ~jobs:1 machine) machine
+                ~context:(Context.create machine) machine
                 Heuristic.Irc p
             with
             | r -> Some r.Allocator.total_spilled
@@ -304,7 +299,7 @@ let kept_rerun_same_on_every_driver () =
   in
   let allocate ~coalesce tele =
     Allocator.allocate ~coalesce
-      ~context:(Context.create ~jobs:1 ~tele machine)
+      ~context:(Context.create ~tele machine)
       machine Heuristic.Irc main
   in
   let check_counters driver tele =
@@ -353,7 +348,7 @@ let abandoned_rerun_stops_early () =
   in
   let allocate ~coalesce tele =
     Allocator.allocate ~coalesce
-      ~context:(Context.create ~jobs:1 ~tele machine)
+      ~context:(Context.create ~tele machine)
       machine Heuristic.Irc svd
   in
   let tele = Ra_support.Telemetry.create () in
@@ -394,7 +389,7 @@ let matula_euler_main_expected_failure () =
   List.iter
     (fun h ->
       match
-        Allocator.allocate ~context:(Context.create ~jobs:1 machine) machine
+        Allocator.allocate ~context:(Context.create machine) machine
           h proc
       with
       | r ->
@@ -406,7 +401,7 @@ let matula_euler_main_expected_failure () =
           (Heuristic.name h) m)
     [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Irc ];
   match
-    Allocator.allocate ~context:(Context.create ~jobs:1 machine) machine
+    Allocator.allocate ~context:(Context.create machine) machine
       Heuristic.Matula proc
   with
   | _ -> Alcotest.fail "matula now allocates euler_main: drop this exclusion"
@@ -422,8 +417,6 @@ let matula_euler_main_expected_failure () =
       (contains_sub m "matula" && contains_sub m "unspillable")
 
 let suites =
-  Test_pool.shutdown_after [ pool ]
-  @@
   [ ( "core.pipeline",
       [ Alcotest.test_case "golden: suite matches pre-refactor seed" `Slow
           golden;

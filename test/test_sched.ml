@@ -4,7 +4,7 @@
    width, disjoint tasks all run, explicit [after] edges hold, tasks
    submit successors dynamically, exceptions poison the scope and
    propagate, the Pool façade batches interleave, the edge-derivation
-   rule (Ra_check.Effects.edges) matches what the scheduler enforces,
+   rule (Footprint.conflicts) serializes exactly the conflicting pairs,
    a seeded missing edge is flagged by the race detector as a data
    race, and the DAG allocation matrix is bit-identical to sequential
    allocation (one warm context per heuristic) for all four heuristics
@@ -154,9 +154,8 @@ let pool_facade_batches () =
     let pool = Scheduler.pool s in
     Alcotest.(check (list int)) "map_list via the façade"
       [ 1; 3; 5; 7 ]
-      (Pool.map_list pool (fun x -> (2 * x) + 1) [ 0; 1; 2; 3 ]);
-    (* batches issued from inside a DAG task interleave with the graph
-       (the shared build's sharded scan does exactly this) *)
+      (Test_pool.map_list pool (fun x -> (2 * x) + 1) [ 0; 1; 2; 3 ]);
+    (* batches issued from inside a DAG task interleave with the graph *)
     let total = ref 0 in
     let m = Mutex.create () in
     Scheduler.run s (fun () ->
@@ -201,7 +200,19 @@ let stats_count_tasks_and_edges () =
 
 (* ---- the edge-derivation rule ---- *)
 
-let meta name footprint = { Pool.tm_name = name; tm_footprint = footprint }
+(* The pairs [(i, j)], [i < j], of a task sequence whose footprints
+   conflict: the dependency edges [Scheduler.submit] derives when the
+   tasks are submitted in array order. Sorted lexicographically. *)
+let edges fps =
+  let n = Array.length fps in
+  List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun j ->
+          if j > i && Footprint.conflicts fps.(i) fps.(j) then Some (i, j)
+          else None)
+        (List.init n Fun.id))
+    (List.init n Fun.id)
 
 let edges_serialize_conflicts () =
   let w tok = fp ~writes:[ Footprint.State tok ] () in
@@ -209,30 +220,29 @@ let edges_serialize_conflicts () =
   Alcotest.(check (list (pair int int)))
     "write-write pair serializes"
     [ (0, 1) ]
-    (Ra_check.Effects.edges [| meta "a" (w 3); meta "b" (w 3) |]);
+    (edges [| w 3; w 3 |]);
   Alcotest.(check (list (pair int int)))
     "read-write pair serializes"
     [ (0, 1) ]
-    (Ra_check.Effects.edges [| meta "a" (r 3); meta "b" (w 3) |]);
+    (edges [| r 3; w 3 |]);
   Alcotest.(check (list (pair int int)))
     "disjoint tokens do not"
     []
-    (Ra_check.Effects.edges [| meta "a" (w 1); meta "b" (w 2) |]);
+    (edges [| w 1; w 2 |]);
   Alcotest.(check (list (pair int int)))
     "read-read does not"
     []
-    (Ra_check.Effects.edges [| meta "a" (r 3); meta "b" (r 3) |]);
+    (edges [| r 3; r 3 |]);
   (* the synchronized telemetry sink never induces an edge *)
   let t = fp ~writes:[ Footprint.Telemetry ] () in
   Alcotest.(check (list (pair int int)))
     "telemetry writes do not" []
-    (Ra_check.Effects.edges [| meta "a" t; meta "b" t |]);
+    (edges [| t; t |]);
   (* a pipeline shape: build writes the token every stage reads *)
   Alcotest.(check (list (pair int int)))
     "fan-out from a shared build"
     [ (0, 1); (0, 2) ]
-    (Ra_check.Effects.edges
-       [| meta "build" (w 9); meta "color-a" (r 9); meta "color-b" (r 9) |])
+    (edges [| w 9; r 9; r 9 |])
 
 (* ---- the race detector must police the schedule ---- *)
 

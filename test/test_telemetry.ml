@@ -195,7 +195,7 @@ let pipeline_telemetry_agrees_with_pass_records () =
   Ra_opt.Opt.optimize_all procs;
   let proc = List.hd procs in
   let tele = Telemetry.create () in
-  let ctx = Context.create ~tele ~jobs:1 machine in
+  let ctx = Context.create ~tele machine in
   let r = Allocator.allocate ~context:ctx machine Heuristic.Briggs proc in
   let n_passes = List.length r.Allocator.passes in
   Alcotest.(check bool) "multi-pass (the test needs spilling)" true
